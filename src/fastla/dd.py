@@ -2,14 +2,24 @@
 
 A value is represented as an unevaluated sum hi + lo of two binary64
 numbers with |lo| <= ulp(hi)/2, giving an effective mantissa of ~106 bits
-(unit roundoff ~2^-105, comfortably below 4 * eps64^2).  All primitives
-are error-free transformations (Dekker/Knuth); no FMA is assumed.
+(unit roundoff ~2^-105, comfortably below 4 * eps64^2).  No FMA is assumed.
+
+Elementwise sums and products are error-free transformations: Knuth's
+two_sum, and Dekker's two_prod applied to the frexp mantissas of its
+operands.  Matrix products are error-free transformations of another kind
+(Ozaki, Ogita, Oishi and Rump 2012): both operands are cut into
+integer-valued float64 slices whose products ordinary float64 BLAS calls
+sum exactly, and the exact sums are accumulated in double-word arithmetic
+(see ``DD.__matmul__``).
 
 This is the "extended" precision of the scalar abstraction: twice the
 working mantissa, realized on working-precision hardware.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -18,6 +28,10 @@ _SPLITTER = 134217729.0
 
 # Unit roundoff of a renormalized double-word value.
 DD_EPS = 2.0 ** -105
+
+# A product's slices and levels are kept until what they drop is below
+# k * 2^-_DROPPED_BITS * max|A_row| * max|B_col| (see DD.__matmul__).
+_DROPPED_BITS = 105
 
 
 def two_sum(a, b):
@@ -44,16 +58,64 @@ def _split(a):
 
 
 def two_prod(a, b):
-    """Error-free product via Dekker splitting: p + e == a * b exactly.
+    """Error-free product: p + e == a * b exactly.
 
-    Exactness requires a * b and its rounding error to stay in the normal
-    binary64 range (no underflow/overflow), the standard Dekker premise.
+    Dekker's splitting runs on the frexp mantissas, so ``_SPLITTER * a``
+    cannot overflow however large the operands are; the exponents come
+    back exactly through ldexp.  Exactness requires a * b and its rounding
+    error to stay in the normal binary64 range (no underflow/overflow).
     """
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
+    ma, ea = np.frexp(a)
+    mb, eb = np.frexp(b)
+    p = ma * mb
+    ahi, alo = _split(ma)
+    bhi, blo = _split(mb)
     e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, e
+    scale = ea + eb
+    return np.ldexp(p, scale), np.ldexp(e, scale)
+
+
+@functools.lru_cache(maxsize=256)
+def _slicing(k):
+    """Slice width beta and level count for inner dimension k.
+
+    Level u sums the products of at most u + 1 <= levels - 1 slice pairs,
+    each an inner product of k integers of magnitude <= 2^beta.  beta is
+    the largest width with (levels - 1) k 2^(2 beta) <= 2^53, so that every
+    partial sum a BLAS call can form is an integer below 2^53 and exact.
+    With levels - 1 slices per operand and levels 0 .. levels - 2 kept, what
+    is left out of an entry is about (levels + 2) k 2^(2 beta) 2^(-(levels-1)
+    beta) in the scaled units, where max|A_row| max|B_col| >= 2^(2 beta - 2);
+    levels are added until that is below k 2^-_DROPPED_BITS of the latter.
+    """
+    levels = 2
+    while True:
+        pairs = levels - 1
+        beta = (53 - (pairs * k - 1).bit_length()) // 2
+        if beta < 1:
+            raise ValueError(f"dd matmul: inner dimension {k} is too large to slice exactly")
+        if pairs * beta >= _DROPPED_BITS + 2 + math.log2(levels + 2):
+            return beta, levels
+        levels += 1
+
+
+def _slices(x, beta, count):
+    """Integer-valued slices s[:, j] of the rows of x[0] + x[1] (hi and lo).
+
+    Each step peels rint off both parts, which leaves them in [-1/2, 1/2],
+    and scales what is left by 2^beta; every operation is exact.  So
+    x[0] + x[1] == sum_j s[:, j] 2^(-j beta) + r with |r| <= 2^(-(J-1) beta)
+    for J = count slices, and if |x[0]| + |x[1]| < 2^beta, every slice is
+    an integer of magnitude <= 2^beta.  x is overwritten.
+    """
+    s = np.empty((x.shape[1], count, x.shape[2]))
+    t = np.empty_like(x)
+    for j in range(count):
+        np.rint(x, out=t)
+        x -= t
+        x *= 2.0 ** beta
+        np.add(t[0], t[1], out=s[:, j])
+    return s
 
 
 def _add(xh, xl, yh, yl):
@@ -138,20 +200,57 @@ class DD:
         return DD(s, e)
 
     def __matmul__(self, other):
+        """Double-word matrix product by error-free slicing (Ozaki et al. 2012).
+
+        Each row of A and column of B is scaled by a power of two to
+        max(|hi| + |lo|) < 2^beta and cut into integer-valued float64
+        slices with x == sum_i X_i 2^(-i beta) (``_slices``), |X_i| <= 2^beta.
+        Level u collects the slice pairs with i + j == u; its products go
+        into one float64 GEMM of [A_i ..] by [B_(u-i); ..].  beta depends on
+        the inner dimension k alone (``_slicing``) and keeps every level's
+        sum of at most (u + 1) k such products at or below 2^53, so each
+        level is an exact integer sum, whatever order, blocking or FMA use
+        the BLAS picks.  The levels are added smallest first with two_sum
+        and the scaling is undone with ldexp.
+
+        The slices and levels left out change each entry by no more than about
+        k 2^-105 max|A_row| max|B_col|, and the two_sum accumulation and
+        the final rounding to double-word add about 2^-105 |C|; the error is
+        thus of the order of a double-word inner product's.  Each entry is
+        a function of its row of A and column of B alone, so the result is
+        the same bit for bit on any BLAS and under any blocking.
+        """
         other = _coerce(other)
         n, k = self.shape
         k2, m = other.shape
         if k != k2:
             raise ValueError("dd matmul dimension mismatch")
-        ch = np.zeros((n, m))
-        cl = np.zeros((n, m))
-        for j in range(k):
-            ph, pl = _mul(
-                self.hi[:, j, None], self.lo[:, j, None],
-                other.hi[None, j, :], other.lo[None, j, :],
-            )
-            ch, cl = _add(ch, cl, ph, pl)
-        return DD(ch, cl)
+        beta, levels = _slicing(k)
+        # The rows of A and the columns of B are scaled and sliced together,
+        # hi parts in x[0] and lo parts in x[1].
+        x = np.empty((2, n + m, k))
+        x[0, :n], x[1, :n], x[0, n:], x[1, n:] = self.hi, self.lo, other.hi.T, other.lo.T
+        _, up = np.frexp(np.maximum.reduce(np.abs(x[0]) + np.abs(x[1]), axis=1, initial=0.0))
+        up = beta - up[:, None]
+        count = levels - 1
+        slices = _slices(np.ldexp(x, up, out=x), beta, count)
+        # sa = [A_0 A_1 ..] and sb = [B_(count-1) .. B_1 B_0]^T, blocks of k
+        # columns, so level u is sa's first u + 1 blocks by sb's last u + 1.
+        sa = slices[:n].reshape(n, count * k)
+        sb = slices[n:, ::-1].reshape(m, count * k)
+
+        def level(u):
+            prod = sa[:, :(u + 1) * k] @ sb[:, (count - 1 - u) * k:].T
+            prod *= 2.0 ** (-u * beta)
+            return prod
+
+        ch, cl = level(levels - 2), 0.0
+        for u in range(levels - 3, -1, -1):
+            ch, err = two_sum(ch, level(u))
+            cl = cl + err
+        ch, cl = quick_two_sum(ch, cl)
+        down = -(up[:n] + up[n:].T)
+        return DD(np.ldexp(ch, down), np.ldexp(cl, down))
 
     def abs_max(self):
         return float(np.max(np.abs(self.hi)))
@@ -161,15 +260,6 @@ def _coerce(x):
     if isinstance(x, DD):
         return x
     return DD(np.asarray(x, dtype=np.float64))
-
-
-def matmul_f64(a, b):
-    """Conventional product of two float64 matrices in extended precision.
-
-    Every scalar multiply-add is carried in double-word arithmetic; the
-    summation order is the conventional inner-product order.
-    """
-    return DD(a) @ DD(b)
 
 
 def solve_upper(u, b, unit_diag=False):

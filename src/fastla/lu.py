@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import SingularMatrixError, _gepp_panel, pivot_growth, solve_unit_lower
-from .core import EPS, FROBENIUS, DimensionError, as_matrix, norm
+from .core import FROBENIUS, DimensionError, as_matrix, norm
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .qr import solve_upper_triangular
 from .results import StabilityReport
@@ -65,7 +65,7 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
         flags.append("l-ill-conditioned")
     if with_report:
         na = norm(a, FROBENIUS)
-        resid = norm(a[perm] - l @ u, FROBENIUS) / na if na > 0.0 else 0.0
+        resid = norm(a[perm] - l @ u, FROBENIUS) / na if na != 0.0 else 0.0
         report = StabilityReport(residual=resid, norm_kind=FROBENIUS, flags=flags)
     else:
         report = StabilityReport(0.0, flags=flags)
@@ -188,14 +188,3 @@ def solve_linear(a, b, engine: MmEngine = CONVENTIONAL, counter=None):
     y = solve_unit_lower(res.l[: a.shape[0], :], rhs[res.p], counter)
     x = solve_upper_triangular(res.u, y, counter)
     return x[:, 0] if b.ndim == 1 else x
-
-
-def inverse_via_lu(a, engine: MmEngine = CONVENTIONAL, counter=None):
-    """Column-by-column inverse from the LU factorization."""
-    a = as_matrix(a)
-    return solve_linear(a, np.eye(a.shape[0]), engine, counter)
-
-
-def lu_residual_bound(n: int, growth: float) -> float:
-    """The acceptance-grade backward error budget 1e3 n^2 eps g."""
-    return 1e3 * n * n * EPS * growth

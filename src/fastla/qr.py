@@ -88,7 +88,7 @@ def _qr_report(a, q, r, engine):
     rfull[:m, :] = r
     recon = q.apply_q(rfull, engine)
     na = norm(a, FROBENIUS)
-    residual = norm(a - recon, FROBENIUS) / na if na > 0.0 else 0.0
+    residual = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
     qt = np.eye(n) - q.w @ q.y
     orth = norm(qt.T @ qt - np.eye(n), FROBENIUS)
     return StabilityReport(residual=residual, orth_defect=orth, norm_kind=FROBENIUS)

@@ -84,7 +84,7 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
     if with_report:
         recon = reconstruct(result, engine)
         na = norm(a, FROBENIUS)
-        resid = norm(a - recon, FROBENIUS) / na if na > 0.0 else 0.0
+        resid = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
         orth = norm(v.T @ v - np.eye(n), FROBENIUS)
         result.report = StabilityReport(residual=resid, orth_defect=orth, norm_kind=FROBENIUS)
     return result

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,41 @@ class TestMatrixIO:
             read_matrix(path)
 
 
+def _fractions(x):
+    return [[Fraction(h) + Fraction(l) for h, l in zip(hrow, lrow)]
+            for hrow, lrow in zip(x.hi.tolist(), x.lo.tolist())]
+
+
+@st.composite
+def _dd_product_operands(draw):
+    """A (n x k) and B (k x m) double-word operands for DD.__matmul__.
+
+    Shapes include k = 1, 1 x k times k x 1, tall and wide, and k up to 130
+    (the slice width and level count change with k); rows and columns can
+    be zero, lo parts nonzero, and rows of A scaled by 2^-500 or 2^500
+    (columns of B by 2^500, so that no product underflows).
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operand(rows, cols, scales):
+        hi = rng.standard_normal((rows, cols))
+        lo = hi * rng.uniform(-2.0 ** -54, 2.0 ** -54, (rows, cols))
+        if draw(st.booleans()):
+            lo[:] = 0.0
+        hi, lo = dd.quick_two_sum(hi, lo)
+        # A scale of None zeroes the row.
+        shifts = draw(st.lists(st.sampled_from(scales), min_size=rows, max_size=rows))
+        scale = np.array([0.0 if s is None else 2.0 ** s for s in shifts])[:, None]
+        return dd.DD(hi * scale, lo * scale)
+
+    a = operand(n, k, [0, 0, -500, 500, None])
+    b = operand(m, k, [0, 0, 500, None]).T
+    return a, b
+
+
 class TestExtendedPrecision:
     def test_unit_roundoff_budget(self):
         assert EXTENDED_EPS <= 4.0 * EPS * EPS
@@ -149,14 +186,52 @@ class TestExtendedPrecision:
             assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
     # two_prod's exactness presumes no under/overflow (Dekker), hence the
-    # magnitude floor on the operands.
+    # magnitude floor on the operands.  Moving a power of two from one
+    # operand to the other keeps the product in range while an operand
+    # reaches ~2^1016, where Dekker's split of the raw operand overflows.
     @given(
         st.floats(-1e8, 1e8).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
         st.floats(-1e8, 1e8).filter(lambda x: x == 0.0 or abs(x) > 1e-100),
+        st.integers(-990, 990),
     )
     @settings(max_examples=200, deadline=None)
-    def test_two_prod_exact(self, a, b):
-        from fractions import Fraction
-
+    def test_two_prod_exact(self, a, b, shift):
+        a, b = float(np.ldexp(a, shift)), float(np.ldexp(b, -shift))
         p, e = dd.two_prod(a, b)
         assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+    @given(_dd_product_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_matmul_against_exact_products(self, operands):
+        a, b = operands
+        c = a @ b
+        k = a.shape[1]
+        # Normwise bound of DD.__matmul__, entrywise: 2 k 2^-105 max|A_row| max|B_col|.
+        row = np.max(np.abs(a.hi), axis=1)
+        col = np.max(np.abs(b.hi), axis=0)
+        exact_a = _fractions(a)
+        exact_b = _fractions(b)
+        for i in range(c.shape[0]):
+            for j in range(c.shape[1]):
+                exact = sum(exact_a[i][t] * exact_b[t][j] for t in range(k))
+                got = Fraction(c.hi[i, j]) + Fraction(c.lo[i, j])
+                assert abs(got - exact) <= 2 * k * Fraction(2) ** -105 * Fraction(row[i] * col[j])
+
+    @pytest.mark.parametrize("x, y", [(2e300, 1e-10), (1e-10, 2e300), (-2e300, 3e-300)])
+    def test_extreme_scale_products(self, x, y):
+        exact = Fraction(x) * Fraction(y)
+        for c in (dd.DD([[x]]) * dd.DD([[y]]), dd.DD([[x]]) @ dd.DD([[y]])):
+            got = Fraction(c.hi[0, 0]) + Fraction(c.lo[0, 0])
+            assert abs(got - exact) <= Fraction(2) ** -105 * abs(exact)
+
+    def test_matmul_bit_reproducible(self, rng):
+        # Every level of the product is an exact integer sum, so an entry
+        # depends only on its row of A and column of B: repeating, slicing
+        # or transposing the product gives the same bits.
+        a = dd.DD(gaussian_matrix(9, 130, rng.split(0)), gaussian_matrix(9, 130, rng.split(1)) * 2.0 ** -60)
+        b = dd.DD(gaussian_matrix(130, 7, rng.split(2)), gaussian_matrix(130, 7, rng.split(3)) * 2.0 ** -60)
+        c = a @ b
+        for again, ref in [(a.copy() @ b.copy(), c), (b.T @ a.T, c.T),
+                           (a[3:4, :] @ b, c[3:4, :]), (a @ b[:, 5:], c[:, 5:])]:
+            np.testing.assert_array_equal(again.hi, ref.hi)
+            np.testing.assert_array_equal(again.lo, ref.lo)

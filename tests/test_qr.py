@@ -3,9 +3,11 @@ import pytest
 
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
 from fastla.baseline import householder_qr
+from fastla.lu import lur
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
 from fastla.qr import (RankDeficientError, apply_qt, columnwise_scale_wrap,
                        determinant, qrr, solve_ls)
+from fastla.rurv import rurv
 
 from helpers import dd_residual_qr, exact_det, oracle_kappa2
 
@@ -81,6 +83,14 @@ class TestQrrBasics:
             res = qrr(a, CONV, panel_cutoff=cutoff)
             assert res.report.residual <= 1e3 * 24 * 24 * EPS
             assert res.report.orth_defect <= 1e3 * 24 * 24 * EPS
+
+
+@pytest.mark.parametrize("factor", [qrr, lur, rurv], ids=["qrr", "lur", "rurv"])
+def test_nan_input_reports_nan_residual(factor, rng):
+    # A NaN residual fails every `residual <= bound` check; 0.0 would pass it.
+    a = gaussian_matrix(6, 6, rng)
+    a[2, 3] = np.nan
+    assert np.isnan(factor(a).report.residual)
 
 
 class TestApplyQt:
