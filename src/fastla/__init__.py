@@ -10,7 +10,8 @@ measurement and backward/forward error budgets wired into tests and the
 """
 
 from .core import (EPS, EXTENDED, WORKING, DimensionError, MatrixParseError,
-                   RngStream, gaussian_matrix, norm, read_matrix, write_matrix)
+                   NonFiniteInputError, RngStream, gaussian_matrix, norm,
+                   read_matrix, write_matrix)
 from .matmul import MmEngine, OpCounter, fit_exponent, measure_mm_error, multiply
 from .baseline import (BlockConfig, block_lu, block_qr, conventional_sylvester,
                        gepp_lu, householder_qr, jacobi_eig, jacobi_svd,

@@ -37,6 +37,10 @@ class DimensionError(ValueError):
     """A matrix dimension precondition was violated."""
 
 
+class NonFiniteInputError(ValueError):
+    """An input matrix holds NaN or infinite entries."""
+
+
 class MatrixParseError(ValueError):
     """A matrix file is malformed (bad header, wrong length, non-finite)."""
 

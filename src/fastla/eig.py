@@ -26,8 +26,8 @@ import numpy as np
 
 from . import dd
 from .baseline import SingularMatrixError, solve_unit_lower
-from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, RngStream,
-                   as_matrix, norm)
+from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, NonFiniteInputError,
+                   RngStream, as_matrix, norm)
 from .inverse import gen_inv
 from .lu import lur
 from .matmul import CONVENTIONAL, MmEngine, multiply
@@ -352,6 +352,9 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("schur_dandc requires a square matrix")
+    if not np.all(np.isfinite(a)):
+        # The region search bisects a NaN Gershgorin box without end.
+        raise NonFiniteInputError("schur_dandc requires finite entries")
     rng = rng or RngStream(0)
     t = a.copy()
     if symmetric:
@@ -492,6 +495,8 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("svd_via_gram requires a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteInputError("svd_via_gram requires finite entries")
     rng = rng or RngStream(0)
     u = np.eye(n)
     v = np.eye(n)

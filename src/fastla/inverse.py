@@ -7,9 +7,22 @@ to the SPD case through A^-1 = A^T (A A^T)^-1.
 
 These recursions are forward stable only up to a condition-number power
 that grows with log2(n); running them in extended (double-word) precision
-recovers backward-stable-grade accuracy at working precision.  The same
-recursion body runs in either precision, switching between engine products
-on float64 arrays and double-word products on DD arrays.
+recovers backward-stable-grade accuracy at working precision.  The
+double-word recursions (``_tri_inv_rec_dd``, ``_spd_inv_rec_dd``) mirror
+the working-precision bodies with double-word products on DD arrays, and
+end at blocks of at most ``_DD_LEAF`` rows in a shared leaf
+(``_dd_leaf_inv``): numpy's float64 LAPACK inverse of the block's hi part
+seeds Newton-Schulz steps X <- X + X (I - T X) in double-word arithmetic
+(Schulz 1933; Higham, Accuracy and Stability of Numerical Algorithms,
+ch. 14).  A leaf whose seed is non-finite, whose first residual
+||I - T X||_inf is not below 1/2, or whose last residual exceeds EPS is
+rejected, and the block splits as before, down to the 1x1 pivots that
+detect indefiniteness.  The SPD recursion reads only the upper triangle
+of each block, so its leaf inverts the block as read from that triangle
+and returns the symmetric part (X + X^T)/2 of the refined inverse;
+otherwise Newton would invert the roundoff asymmetry of the double-word
+Schur complements exactly, and the asymmetry would grow down the
+recursion.
 
 ``predicted_bound`` in the report evaluates the error recurrences with the
 measured condition number and the engine's measured error-model constant,
@@ -25,7 +38,7 @@ import numpy as np
 
 from . import dd
 from .baseline import SingularMatrixError
-from .core import EPS, EXTENDED, TWO, WORKING, DimensionError, RngStream, as_matrix, norm
+from .core import EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix, norm
 from .matmul import CONVENTIONAL, MmEngine, measure_mm_error, multiply
 
 # Calibration constants multiplying the paper-recurrence bounds; the
@@ -34,6 +47,10 @@ TRI_BOUND_CONST = 100.0
 SPD_BOUND_CONST = 100.0
 
 _SYMMETRY_TOL = 1e-12
+
+# The double-word recursions end at blocks of at most this many rows
+# (see _dd_leaf_inv); 16 and 64 were both slower on n = 128 inputs.
+_DD_LEAF = 32
 
 _mu_cache: dict = {}
 
@@ -83,13 +100,13 @@ def predicted_spd_bound(kappa: float, n: int, mu_const: float) -> float:
     return 1.0 if log_b >= 0.0 else 10.0 ** log_b
 
 
-def _report(a, x, precision, predicted) -> InvReport:
+def _report(a, x, precision, kappa, predicted) -> InvReport:
     n = a.shape[0]
     eye = np.eye(n)
     return InvReport(
         residual_left=float(np.linalg.norm(x @ a - eye)),
         residual_right=float(np.linalg.norm(a @ x - eye)),
-        kappa=max(1.0, norm(a, TWO) * norm(x, TWO)),
+        kappa=kappa,
         precision_used=precision,
         predicted_bound=predicted,
     )
@@ -121,7 +138,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
         return x, None
     kappa = max(1.0, norm(t, TWO) * norm(x, TWO))
     bound = predicted_tri_bound(kappa, n, engine_mu_constant(engine))
-    return x, _report(t, x, precision, bound)
+    return x, _report(t, x, precision, kappa, bound)
 
 
 def _tri_inv_rec(t, engine, counter):
@@ -141,10 +158,42 @@ def _tri_inv_rec(t, engine, counter):
     return x
 
 
+def _dd_leaf_inv(t, seed):
+    """Refine the float64 inverse ``seed`` of the DD block t by Newton steps.
+
+    Returns the double-word inverse, or None when the leaf is rejected:
+    the seed is missing or non-finite, the first residual ||I - T X||_inf
+    is not below 1/2, or the last is above EPS.  Steps go on while the
+    residual at least halves, so the loop ends on any input.
+    """
+    if seed is None or not np.all(np.isfinite(seed)):
+        return None
+    eye = dd.DD(np.eye(t.shape[0]))
+    x = dd.DD(seed)
+    r = eye - t @ x
+    res = norm(r.hi, INF)
+    if not res < 0.5:
+        return None
+    while res > 0.0:
+        x_next = x + x @ r
+        r_next = eye - t @ x_next
+        res_next = norm(r_next.hi, INF)
+        if not res_next <= 0.5 * res:
+            break
+        x, r, res = x_next, r_next, res_next
+    return x if res <= EPS else None
+
+
 def _tri_inv_rec_dd(t, counter):
     n = t.shape[0]
     if n == 1:
         return dd.DD(np.ones((1, 1))) / t
+    if n <= _DD_LEAF:
+        # No LinAlgError: tri_inv rejects zero diagonals, so every pivot is
+        # a nonzero diagonal entry.
+        x = _dd_leaf_inv(t, np.triu(np.linalg.inv(t.hi)))
+        if x is not None:
+            return x
     s = n // 2
     x11 = _tri_inv_rec_dd(t[:s, :s], counter)
     x22 = _tri_inv_rec_dd(t[s:, s:], counter)
@@ -186,7 +235,7 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
         return x, None
     kappa = max(1.0, norm(h, TWO) * norm(x, TWO))
     bound = predicted_spd_bound(kappa, n, engine_mu_constant(engine))
-    return x, _report(h, x, precision, bound)
+    return x, _report(h, x, precision, kappa, bound)
 
 
 def _spd_inv_rec(h, engine, counter):
@@ -229,6 +278,18 @@ def _spd_inv_rec_dd(h, counter):
         if h.hi[0, 0] <= 0.0:
             raise NotPositiveDefiniteError("nonpositive pivot in spd_inv")
         return dd.DD(np.ones((1, 1))) / h
+    if n <= _DD_LEAF:
+        # The block as the recursion reads it: its upper triangle.
+        hs = dd.DD(np.triu(h.hi) + np.triu(h.hi, 1).T, np.triu(h.lo) + np.triu(h.lo, 1).T)
+        try:
+            np.linalg.cholesky(hs.hi)
+            seed = np.linalg.inv(hs.hi)
+        except np.linalg.LinAlgError:
+            seed = None
+        x = _dd_leaf_inv(hs, seed)
+        if x is not None:
+            x = x + x.T
+            return dd.DD(0.5 * x.hi, 0.5 * x.lo)
     s = n // 2
     a = h[:s, :s]
     b = h[:s, s:]
@@ -283,7 +344,7 @@ def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
         return x, None
     kappa_a = max(1.0, norm(a, TWO) * norm(x, TWO))
     bound = predicted_spd_bound(kappa_a ** 2, n, engine_mu_constant(engine))
-    return x, _report(a, x, precision, bound)
+    return x, _report(a, x, precision, kappa_a, bound)
 
 
 def solve_via_inverse(a, b, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,

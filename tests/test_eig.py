@@ -1,7 +1,9 @@
+import signal
+
 import numpy as np
 import pytest
 
-from fastla.core import EPS, RngStream, gaussian_matrix, norm
+from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
@@ -324,3 +326,27 @@ class TestEvecR:
             counts.append(counter.scalar_mults)
         slope = fit_exponent(sizes, counts)
         assert abs(slope - np.log2(7)) <= 0.15
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 20 s instead of letting it hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [schur_dandc, symmetric_eig, svd_via_gram])
+def test_non_finite_input_rejected(alarm, entry, bad):
+    # A 4x4 with one NaN used to send schur_dandc's region search into an
+    # endless bisection.
+    a = np.diag([4.0, 3.0, 2.0, 1.0]) + 0.1
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        entry(a)

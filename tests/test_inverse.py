@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fastla
 from fastla import dd
-from fastla.core import EPS, EXTENDED, RngStream, gaussian_matrix, norm
+from fastla.core import EPS, EXTENDED, WORKING, RngStream, gaussian_matrix, norm
 from fastla.inverse import (AsymmetricMatrixError, NotPositiveDefiniteError,
                             engine_mu_constant, gen_inv, predicted_tri_bound,
                             solve_via_inverse, spd_inv, theorem1_embedding, tri_inv)
@@ -32,8 +37,9 @@ class TestTriInv:
         for n in range(2, 9):
             t = np.eye(n) + np.diag(np.ones(n - 1), 1)
             want = np.triu([[(-1.0) ** (i + j) for j in range(n)] for i in range(n)])
-            x, _ = tri_inv(t)
-            np.testing.assert_array_equal(x, want)
+            for precision in (WORKING, EXTENDED):
+                x, _ = tri_inv(t, precision=precision)
+                np.testing.assert_array_equal(x, want)
 
     def test_random_forward_error_vs_recurrence_bound(self, rng, engine):
         for kappa in (10.0, 100.0, 1e3, 1e4):
@@ -117,6 +123,68 @@ class TestSpdInv:
         a = gaussian_matrix(4, 4, rng)
         with pytest.raises(AsymmetricMatrixError):
             spd_inv(a + a.T + 0.1 * np.array([[0, 1, 0, 0]] * 4))
+
+
+class TestExtendedLeaf:
+    """The double-word recursions' Newton-refined leaf blocks."""
+
+    @pytest.mark.parametrize("kappa", [1e12, 1e16])
+    def test_spd_ill_conditioned_residual(self, rng, kappa):
+        # A leaf that inverted the raw double-word Schur complement, whose
+        # roundoff makes it slightly asymmetric, broke this at 1e16.
+        for seed in range(3):
+            h = spd_with_condition(64, kappa, rng.split(seed))
+            x, rep = spd_inv(h, precision=EXTENDED)
+            assert rep.residual_left <= 64 * EPS * rep.kappa
+
+    def test_tri_ill_conditioned_residual(self, rng):
+        n = 64
+        for kappa in (1e8, 1e12, 1e16):
+            t = triangular_with_condition(n, kappa, rng.split(int(math.log10(kappa))))
+            x, rep = tri_inv(t, precision=EXTENDED)
+            assert rep.residual_left <= 1e3 * n * n * EPS * rep.kappa
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 64])
+    def test_indefinite_rejected(self, rng, n):
+        # Sizes inside, at and across the leaf size: a rejected leaf
+        # splits down to the 1x1 pivots, which raise.
+        q = haar_orthogonal(n, rng.split(n))
+        lam = np.linspace(1.0, 2.0, n)
+        lam[n // 2] = -1.0
+        h = (q * lam[None, :]) @ q.T
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_inv(0.5 * (h + h.T), precision=EXTENDED)
+
+    def test_identity_exact(self):
+        for n in (1, 2, 5, 32, 40):
+            np.testing.assert_array_equal(tri_inv(np.eye(n), precision=EXTENDED)[0], np.eye(n))
+            np.testing.assert_array_equal(spd_inv(np.eye(n), precision=EXTENDED)[0], np.eye(n))
+
+    def test_gen_inv_product_count(self, rng, monkeypatch):
+        # Recursing to 1x1 blocks made 510 double-word products here.
+        calls = []
+        matmul = dd.DD.__matmul__
+
+        def counted(x, y):
+            calls.append(x.shape)
+            return matmul(x, y)
+
+        monkeypatch.setattr(dd.DD, "__matmul__", counted)
+        gen_inv(gaussian_matrix(128, 128, rng), precision=EXTENDED, with_report=False)
+        assert 0 < len(calls) < 100
+
+    def test_library_does_not_import_scipy(self):
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import fastla\n"
+                "fastla.gen_inv(np.eye(40) + np.ones((40, 40)), precision='extended')\n"
+                "assert 'scipy' not in sys.modules, 'fastla imported scipy'\n")
+        src = str(Path(fastla.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGenInv:
