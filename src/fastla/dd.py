@@ -252,9 +252,6 @@ class DD:
         down = -(up[:n] + up[n:].T)
         return DD(np.ldexp(ch, down), np.ldexp(cl, down))
 
-    def abs_max(self):
-        return float(np.max(np.abs(self.hi)))
-
 
 def _coerce(x):
     if isinstance(x, DD):

@@ -472,7 +472,8 @@ def symmetric_eig(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = No
     a = as_matrix(a)
     n = a.shape[0]
     na = norm(a, FROBENIUS)
-    if float(np.linalg.norm(a - a.T)) > 1e-12 * max(na, 1e-300):
+    # Non-finite input skips the test and is rejected by schur_dandc.
+    if np.all(np.isfinite(a)) and float(np.linalg.norm(a - a.T)) > 1e-12 * max(na, 1e-300):
         raise DimensionError("symmetric_eig requires a symmetric matrix")
     res = schur_dandc(a, engine, rng, split_tol, symmetric=True, counter=counter)
     lam = np.diag(res.t).copy()

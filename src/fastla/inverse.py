@@ -7,22 +7,25 @@ to the SPD case through A^-1 = A^T (A A^T)^-1.
 
 These recursions are forward stable only up to a condition-number power
 that grows with log2(n); running them in extended (double-word) precision
-recovers backward-stable-grade accuracy at working precision.  The
-double-word recursions (``_tri_inv_rec_dd``, ``_spd_inv_rec_dd``) mirror
-the working-precision bodies with double-word products on DD arrays, and
-end at blocks of at most ``_DD_LEAF`` rows in a shared leaf
-(``_dd_leaf_inv``): numpy's float64 LAPACK inverse of the block's hi part
-seeds Newton-Schulz steps X <- X + X (I - T X) in double-word arithmetic
+recovers backward-stable-grade accuracy at working precision.  Each
+algorithm has one recursion body, generic over its operand type: the entry
+points lift the input to a ``dd.DD`` array when ``precision="extended"``,
+``multiply`` turns double-word operands into double-word products, and the
+result is rounded to working precision at the end.  Small helpers
+(``_like``, ``_hi``, ``_symmetrize``) hide the representation; the one
+place the bodies tell the types apart is the double-word base case: a DD
+block of at most ``_DD_LEAF`` rows first tries the leaf ``_dd_leaf_inv``,
+in which numpy's float64 LAPACK inverse of the block's hi part seeds
+Newton-Schulz steps X <- X + X (I - T X) in double-word arithmetic
 (Schulz 1933; Higham, Accuracy and Stability of Numerical Algorithms,
 ch. 14).  A leaf whose seed is non-finite, whose first residual
 ||I - T X||_inf is not below 1/2, or whose last residual exceeds EPS is
-rejected, and the block splits as before, down to the 1x1 pivots that
-detect indefiniteness.  The SPD recursion reads only the upper triangle
-of each block, so its leaf inverts the block as read from that triangle
-and returns the symmetric part (X + X^T)/2 of the refined inverse;
-otherwise Newton would invert the roundoff asymmetry of the double-word
-Schur complements exactly, and the asymmetry would grow down the
-recursion.
+rejected, and the block splits as in working precision, down to the
+shared 1x1 pivots that detect indefiniteness.  The SPD recursion reads only the upper triangle of each
+block, so its leaf inverts the block as read from that triangle and
+returns the symmetric part (X + X^T)/2 of the refined inverse; otherwise
+Newton would invert the roundoff asymmetry of the double-word Schur
+complements exactly, and the asymmetry would grow down the recursion.
 
 ``predicted_bound`` in the report evaluates the error recurrences with the
 measured condition number and the engine's measured error-model constant,
@@ -48,7 +51,7 @@ SPD_BOUND_CONST = 100.0
 
 _SYMMETRY_TOL = 1e-12
 
-# The double-word recursions end at blocks of at most this many rows
+# Double-word blocks of at most this many rows try the Newton leaf
 # (see _dd_leaf_inv); 16 and 64 were both slower on n = 128 inputs.
 _DD_LEAF = 32
 
@@ -112,6 +115,32 @@ def _report(a, x, precision, kappa, predicted) -> InvReport:
     )
 
 
+def _lift(x, precision):
+    """x as an operand of ``precision``: a DD array when extended."""
+    return dd.DD(x) if precision == EXTENDED else x
+
+
+def _round(x):
+    """A result rounded to working precision."""
+    return x.to_float64() if isinstance(x, dd.DD) else x
+
+
+def _hi(x):
+    """The working-precision part of a block, for sign and finiteness tests."""
+    return x.hi if isinstance(x, dd.DD) else x
+
+
+def _like(x, values):
+    """The float64 array ``values`` as a block of x's operand type."""
+    return dd.DD(values) if isinstance(x, dd.DD) else values
+
+
+def _symmetrize(x):
+    """(X + X^T) / 2; halving is exact, so a DD block halves both parts."""
+    s = x + x.T
+    return dd.DD(0.5 * s.hi, 0.5 * s.lo) if isinstance(s, dd.DD) else 0.5 * s
+
+
 # ---------------------------------------------------------------------------
 # Triangular inversion
 
@@ -130,10 +159,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
         raise DimensionError("tri_inv requires a square matrix")
     if np.any(np.diag(t) == 0.0):
         raise SingularMatrixError("zero diagonal entry in triangular matrix")
-    if precision == EXTENDED:
-        x = _tri_inv_rec_dd(dd.DD(t), counter).to_float64()
-    else:
-        x = _tri_inv_rec(t, engine, counter)
+    x = _round(_tri_inv_rec(_lift(t, precision), engine, counter))
     if not with_report:
         return x, None
     kappa = max(1.0, norm(t, TWO) * norm(x, TWO))
@@ -146,19 +172,25 @@ def _tri_inv_rec(t, engine, counter):
     if n == 1:
         if counter is not None:
             counter.count(mults=1)
-        return np.array([[1.0 / t[0, 0]]])
+        return _like(t, np.ones((1, 1))) / t
+    if n <= _DD_LEAF and isinstance(t, dd.DD):
+        # No LinAlgError: tri_inv rejects zero diagonals, so every pivot is
+        # a nonzero diagonal entry.
+        x = _dd_leaf_inv(t, np.triu(np.linalg.inv(t.hi)), engine, counter)
+        if x is not None:
+            return x
     s = n // 2
     x11 = _tri_inv_rec(t[:s, :s], engine, counter)
     x22 = _tri_inv_rec(t[s:, s:], engine, counter)
     m = multiply(multiply(x11, t[:s, s:], engine, counter), x22, engine, counter)
-    x = np.zeros((n, n))
+    x = _like(t, np.zeros((n, n)))
     x[:s, :s] = x11
     x[s:, s:] = x22
     x[:s, s:] = -m
     return x
 
 
-def _dd_leaf_inv(t, seed):
+def _dd_leaf_inv(t, seed, engine, counter):
     """Refine the float64 inverse ``seed`` of the DD block t by Newton steps.
 
     Returns the double-word inverse, or None when the leaf is rejected:
@@ -170,39 +202,18 @@ def _dd_leaf_inv(t, seed):
         return None
     eye = dd.DD(np.eye(t.shape[0]))
     x = dd.DD(seed)
-    r = eye - t @ x
+    r = eye - multiply(t, x, engine, counter)
     res = norm(r.hi, INF)
     if not res < 0.5:
         return None
     while res > 0.0:
-        x_next = x + x @ r
-        r_next = eye - t @ x_next
+        x_next = x + multiply(x, r, engine, counter)
+        r_next = eye - multiply(t, x_next, engine, counter)
         res_next = norm(r_next.hi, INF)
         if not res_next <= 0.5 * res:
             break
         x, r, res = x_next, r_next, res_next
     return x if res <= EPS else None
-
-
-def _tri_inv_rec_dd(t, counter):
-    n = t.shape[0]
-    if n == 1:
-        return dd.DD(np.ones((1, 1))) / t
-    if n <= _DD_LEAF:
-        # No LinAlgError: tri_inv rejects zero diagonals, so every pivot is
-        # a nonzero diagonal entry.
-        x = _dd_leaf_inv(t, np.triu(np.linalg.inv(t.hi)))
-        if x is not None:
-            return x
-    s = n // 2
-    x11 = _tri_inv_rec_dd(t[:s, :s], counter)
-    x22 = _tri_inv_rec_dd(t[s:, s:], counter)
-    m = (x11 @ t[:s, s:]) @ x22
-    x = dd.DD(np.zeros((n, n)))
-    x[:s, :s] = x11
-    x[s:, s:] = x22
-    x[:s, s:] = -m
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +236,7 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     nh = norm(h)
     if float(np.linalg.norm(h - h.T)) > _SYMMETRY_TOL * max(nh, 1e-300):
         raise AsymmetricMatrixError("matrix is not symmetric within 1e-12 relative")
-    if precision == EXTENDED:
-        xd = _spd_inv_rec_dd(dd.DD(h), counter)
-        x = xd.to_float64()
-    else:
-        x = _spd_inv_rec(h, engine, counter)
-    x = 0.5 * (x + x.T)
+    x = _symmetrize(_round(_spd_inv_rec(_lift(h, precision), engine, counter)))
     if not with_report:
         return x, None
     kappa = max(1.0, norm(h, TWO) * norm(x, TWO))
@@ -241,44 +247,12 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
 def _spd_inv_rec(h, engine, counter):
     n = h.shape[0]
     if n == 1:
-        if h[0, 0] <= 0.0:
+        if _hi(h)[0, 0] <= 0.0:
             raise NotPositiveDefiniteError("nonpositive pivot in spd_inv")
         if counter is not None:
             counter.count(mults=1)
-        return np.array([[1.0 / h[0, 0]]])
-    s = n // 2
-    a = h[:s, :s]
-    b = h[:s, s:]
-    c = h[s:, s:]
-    ai = _spd_inv_rec(a, engine, counter)
-    aib = multiply(ai, b, engine, counter)
-    baib = multiply(np.ascontiguousarray(b.T), aib, engine, counter)
-    sc = c - baib
-    if counter is not None:
-        counter.count(adds=sc.size)
-    if not np.all(np.isfinite(sc)):
-        raise NotPositiveDefiniteError("non-finite Schur complement in spd_inv")
-    si = _spd_inv_rec(sc, engine, counter)
-    aibsi = multiply(aib, si, engine, counter)
-    aibsibai = multiply(aibsi, np.ascontiguousarray(aib.T), engine, counter)
-    hi11 = ai + aibsibai
-    if counter is not None:
-        counter.count(adds=hi11.size)
-    x = np.zeros((n, n))
-    x[:s, :s] = hi11
-    x[:s, s:] = -aibsi
-    x[s:, :s] = -aibsi.T
-    x[s:, s:] = si
-    return x
-
-
-def _spd_inv_rec_dd(h, counter):
-    n = h.shape[0]
-    if n == 1:
-        if h.hi[0, 0] <= 0.0:
-            raise NotPositiveDefiniteError("nonpositive pivot in spd_inv")
-        return dd.DD(np.ones((1, 1))) / h
-    if n <= _DD_LEAF:
+        return _like(h, np.ones((1, 1))) / h
+    if n <= _DD_LEAF and isinstance(h, dd.DD):
         # The block as the recursion reads it: its upper triangle.
         hs = dd.DD(np.triu(h.hi) + np.triu(h.hi, 1).T, np.triu(h.lo) + np.triu(h.lo, 1).T)
         try:
@@ -286,34 +260,47 @@ def _spd_inv_rec_dd(h, counter):
             seed = np.linalg.inv(hs.hi)
         except np.linalg.LinAlgError:
             seed = None
-        x = _dd_leaf_inv(hs, seed)
+        x = _dd_leaf_inv(hs, seed, engine, counter)
         if x is not None:
-            x = x + x.T
-            return dd.DD(0.5 * x.hi, 0.5 * x.lo)
+            return _symmetrize(x)
     s = n // 2
     a = h[:s, :s]
     b = h[:s, s:]
     c = h[s:, s:]
-    ai = _spd_inv_rec_dd(a, counter)
-    aib = ai @ b
-    baib = b.T @ aib
+    ai = _spd_inv_rec(a, engine, counter)
+    aib = multiply(ai, b, engine, counter)
+    baib = multiply(b.T, aib, engine, counter)
     sc = c - baib
-    if not np.all(np.isfinite(sc.hi)):
+    if counter is not None:
+        counter.count(adds=(n - s) ** 2)
+    if not np.all(np.isfinite(_hi(sc))):
         raise NotPositiveDefiniteError("non-finite Schur complement in spd_inv")
-    si = _spd_inv_rec_dd(sc, counter)
-    aibsi = aib @ si
-    aibsibai = aibsi @ aib.T
+    si = _spd_inv_rec(sc, engine, counter)
+    aibsi = multiply(aib, si, engine, counter)
+    aibsibai = multiply(aibsi, aib.T, engine, counter)
     hi11 = ai + aibsibai
-    x = dd.DD(np.zeros((n, n)))
+    if counter is not None:
+        counter.count(adds=s * s)
+    x = _like(h, np.zeros((n, n)))
     x[:s, :s] = hi11
     x[:s, s:] = -aibsi
-    x[s:, :s] = (-aibsi).T
+    x[s:, :s] = -aibsi.T
     x[s:, s:] = si
     return x
 
 
+# perfbench/tracing.py still wraps the inversion bodies under these names.
+_tri_inv_rec_dd = _tri_inv_rec
+_spd_inv_rec_dd = _spd_inv_rec
+
+
 # ---------------------------------------------------------------------------
 # General inversion via the normal-equations trick
+
+
+def _gram_inverse(a, engine, counter):
+    """(A A^T)^-1, with the Gram matrix symmetrized before inversion."""
+    return _spd_inv_rec(_symmetrize(multiply(a, a.T, engine, counter)), engine, counter)
 
 
 def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
@@ -328,18 +315,9 @@ def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("gen_inv requires a square matrix")
-    at = np.ascontiguousarray(a.T)
-    if precision == EXTENDED:
-        add = dd.DD(a)
-        m = add @ add.T
-        mi = _spd_inv_rec_dd(m, counter)
-        x = (add.T @ mi).to_float64()
-    else:
-        m = multiply(a, at, engine, counter)
-        m = 0.5 * (m + m.T)
-        mi = _spd_inv_rec(m, engine, counter)
-        mi = 0.5 * (mi + mi.T)
-        x = multiply(at, mi, engine, counter)
+    al = _lift(a, precision)
+    mi = _symmetrize(_gram_inverse(al, engine, counter))
+    x = _round(multiply(al.T, mi, engine, counter))
     if not with_report:
         return x, None
     kappa_a = max(1.0, norm(a, TWO) * norm(x, TWO))
@@ -353,17 +331,9 @@ def solve_via_inverse(a, b, engine: MmEngine = CONVENTIONAL, precision: str = WO
     a = as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
     rhs = b[:, None] if b.ndim == 1 else b
-    if precision == EXTENDED:
-        add = dd.DD(a)
-        m = add @ add.T
-        mi = _spd_inv_rec_dd(m, counter)
-        x = (add.T @ (mi @ dd.DD(rhs))).to_float64()
-    else:
-        m = multiply(a, np.ascontiguousarray(a.T), engine, counter)
-        m = 0.5 * (m + m.T)
-        mi = _spd_inv_rec(m, engine, counter)
-        t = multiply(mi, rhs, engine, counter)
-        x = multiply(np.ascontiguousarray(a.T), t, engine, counter)
+    al = _lift(a, precision)
+    t = multiply(_gram_inverse(al, engine, counter), _lift(rhs, precision), engine, counter)
+    x = _round(multiply(al.T, t, engine, counter))
     return x[:, 0] if b.ndim == 1 else x
 
 

@@ -79,7 +79,14 @@ class ErrorModel:
 
 
 def multiply(a, b, engine: MmEngine = CONVENTIONAL, counter: OpCounter | None = None):
-    """Product a @ b under the selected engine, tallying scalar ops."""
+    """Product a @ b under the selected engine, tallying scalar ops.
+
+    A double-word left operand (``dd.DD``) takes the double-word slicing
+    product ``a @ b`` (b is lifted if it is float64) whatever the engine
+    kind, tallied as a conventional product.
+    """
+    if isinstance(a, dd.DD):
+        return _conv(a, b, counter)
     a = as_matrix(a)
     b = as_matrix(b)
     p, q = a.shape

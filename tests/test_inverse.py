@@ -13,7 +13,7 @@ from fastla.core import EPS, EXTENDED, WORKING, RngStream, gaussian_matrix, norm
 from fastla.inverse import (AsymmetricMatrixError, NotPositiveDefiniteError,
                             engine_mu_constant, gen_inv, predicted_tri_bound,
                             solve_via_inverse, spd_inv, theorem1_embedding, tri_inv)
-from fastla.matmul import MmEngine, multiply
+from fastla.matmul import MmEngine, OpCounter, multiply
 from fastla.rurv import haar_orthogonal
 
 from helpers import spd_with_condition, triangular_with_condition
@@ -185,6 +185,44 @@ class TestExtendedLeaf:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestOpCounts:
+    """``counter=`` tallies the products of both precisions' recursions."""
+
+    T = np.array([[2.0, 1.0], [0.0, 4.0]])
+    H = np.array([[4.0, 1.0], [1.0, 3.0]])
+    A = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    B = np.array([1.0, 2.0])
+
+    def calls(self, precision):
+        return {
+            "tri_inv": lambda c: tri_inv(self.T, precision=precision, counter=c),
+            "spd_inv": lambda c: spd_inv(self.H, precision=precision, counter=c),
+            "gen_inv": lambda c: gen_inv(self.A, precision=precision, counter=c),
+            "solve_via_inverse": lambda c: solve_via_inverse(self.A, self.B, precision=precision,
+                                                             counter=c),
+        }
+
+    def test_working_tallies(self):
+        # At n = 2 every pivot is one division and every block product 1x1x1,
+        # except the 2x2 products A A^T and A^T M^-1 (8 mults, 4 adds each)
+        # and the 2x1 right-hand-side products (4 mults, 2 adds each).  The
+        # SPD recursion adds one Schur complement and one (1,1) update.
+        want = {"tri_inv": (4, 0), "spd_inv": (6, 2), "gen_inv": (22, 10),
+                "solve_via_inverse": (22, 10)}
+        for name, call in self.calls(WORKING).items():
+            counter = OpCounter()
+            call(counter)
+            assert (counter.scalar_mults, counter.scalar_adds) == want[name], name
+
+    def test_extended_tallies_nonzero(self):
+        # The double-word recursion's products go through multiply, so an
+        # extended call tallies them as a working-precision call does.
+        for name, call in self.calls(EXTENDED).items():
+            counter = OpCounter()
+            call(counter)
+            assert counter.scalar_mults > 0 and counter.scalar_adds > 0, name
 
 
 class TestGenInv:

@@ -66,6 +66,22 @@ class TestMultiply:
         for engine in ENGINES[1:]:
             assert norm(multiply(a, b, engine) - ref) <= max(bound, 1e-300)
 
+    @pytest.mark.parametrize("engine", [MmEngine("conv"), MmEngine("strassen", 8)], ids=str)
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (16, 16, 16), (20, 9, 33)])
+    def test_double_word_operands(self, engine, shape, rng):
+        # Double-word operands take the slicing product whatever the engine,
+        # tallied as a conventional product.
+        p, q, r = shape
+        a = dd.DD(gaussian_matrix(p, q, rng.split(0)), EPS * gaussian_matrix(p, q, rng.split(1)))
+        b = dd.DD(gaussian_matrix(q, r, rng.split(2)), EPS * gaussian_matrix(q, r, rng.split(3)))
+        want = a @ b
+        counter = OpCounter()
+        got = multiply(a, b, engine, counter)
+        np.testing.assert_array_equal(got.hi, want.hi)
+        np.testing.assert_array_equal(got.lo, want.lo)
+        assert counter.scalar_mults == p * q * r
+        assert counter.scalar_adds == p * (q - 1) * r
+
 
 class TestCounting:
     def test_strassen_count_law(self):
