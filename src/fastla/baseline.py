@@ -1,4 +1,4 @@
-"""Conventional reference algorithms and blocked LU/QR with tunable block size.
+"""Conventional reference algorithms, blocked LU/QR and the triangular solve.
 
 These are the slow-but-trusted routines: Householder QR in WY form,
 right-looking Gaussian elimination with partial pivoting, a column-by-column
@@ -7,6 +7,15 @@ eigensolvers (the desk-scale oracles), plus the classic blocked LU/QR whose
 trailing updates run through a pluggable multiplication engine.  The blocked
 algorithms process b columns at a time; the cost-minimizing block size for a
 multiplication exponent gamma is n^(1/(4-gamma)).
+
+``solve_triangular`` is the library's one triangular-solve kernel: the 2x2
+block recursion solves one diagonal block, subtracts its off-diagonal
+product (through ``multiply``, so under the caller's engine) and solves the
+other.  Blocks of at most ``_TRI_LEAF`` rows are one ``np.linalg.solve``
+call on the block's upper triangle (a lower block is reversed into upper
+form).  LAPACK's LU with partial pivoting interchanges no rows there: below
+a nonzero diagonal pivot an upper triangular matrix holds exact zeros, so
+the leaf is plain back substitution with no Python loop.
 """
 
 from __future__ import annotations
@@ -16,8 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DimensionError, as_matrix
-from .matmul import MmEngine, multiply
+from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import WYFactor
+
+
+# Largest triangular block solved by one LAPACK call instead of a split,
+# and the upper-triangle mask whose top-left corner every leaf reads.
+_TRI_LEAF = 64
+_UPPER = np.triu(np.ones((_TRI_LEAF, _TRI_LEAF), dtype=bool))
 
 
 class SingularMatrixError(ValueError):
@@ -265,8 +280,8 @@ def block_lu(a, cfg: BlockConfig, engine: MmEngine, counter=None, update_counter
         work[i:, end:] = work[i:, end:][local]
         perm[i:] = perm[i:][local]
         if end < n:
-            l11 = work[i:end, i:end]
-            u12 = solve_unit_lower(l11, work[i:end, end:], counter)
+            u12 = solve_triangular(work[i:end, i:end], work[i:end, end:], lower=True,
+                                   unit_diag=True, counter=counter)
             work[i:end, end:] = u12
             upd = multiply(work[end:, i:end], u12, engine, upd_counter)
             work[end:, end:] -= upd
@@ -279,19 +294,68 @@ def block_lu(a, cfg: BlockConfig, engine: MmEngine, counter=None, update_counter
 
 def solve_unit_lower(l, rhs, counter=None):
     """Forward substitution with a unit lower triangular matrix."""
-    k = l.shape[0]
-    x = np.array(rhs, dtype=np.float64, copy=True)
-    if x.ndim == 1:
+    return solve_triangular(l, rhs, lower=True, unit_diag=True, counter=counter)
+
+
+# ---------------------------------------------------------------------------
+# Recursive triangular solve
+
+
+def solve_triangular(t, rhs, lower=False, unit_diag=False, engine: MmEngine = CONVENTIONAL,
+                     counter=None):
+    """Solve T x = rhs for triangular T by the 2x2 block recursion.
+
+    Only the triangle named by ``lower`` is read, and with ``unit_diag``
+    not the diagonal either, so compact LU storage can be passed as is.
+    The off-diagonal block updates run through ``multiply`` under
+    ``engine``; blocks of at most ``_TRI_LEAF`` rows go to LAPACK.
+    """
+    t = as_matrix(t)
+    k = t.shape[0]
+    if t.shape[1] != k:
+        raise DimensionError("solve_triangular requires a square matrix")
+    if not unit_diag and not t.diagonal().all():
+        raise SingularMatrixError("zero diagonal in triangular solve")
+    x = np.array(rhs, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
         x = x[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for i in range(1, k):
-        x[i, :] -= l[i, :i] @ x[:i, :]
-    if counter is not None:
-        cols = x.shape[1]
-        counter.count(mults=k * (k - 1) // 2 * cols, adds=k * (k - 1) // 2 * cols)
+    if x.ndim != 2 or x.shape[0] != k:
+        raise DimensionError(f"solve_triangular: rhs shape {np.shape(rhs)} for a {k}x{k} matrix")
+    _solve_tri_rec(t, x, lower, unit_diag, engine, counter)
     return x[:, 0] if squeeze else x
+
+
+def _solve_tri_rec(t, x, lower, unit_diag, engine, counter):
+    """Overwrite the view ``x`` with T^-1 x."""
+    k = x.shape[0]
+    if k <= _TRI_LEAF:
+        _solve_tri_leaf(t, x, lower, unit_diag, counter)
+        return
+    h = k // 2
+    # Lower: x1 = T11^-1 x1, x2 -= T21 x1, x2 = T22^-1 x2; upper mirrors it.
+    first, second = (slice(0, h), slice(h, k)) if lower else (slice(h, k), slice(0, h))
+    _solve_tri_rec(t[first, first], x[first], lower, unit_diag, engine, counter)
+    x[second] -= multiply(t[second, first], x[first], engine, counter)
+    if counter is not None:
+        counter.count(adds=x[second].size)
+    _solve_tri_rec(t[second, second], x[second], lower, unit_diag, engine, counter)
+
+
+def _solve_tri_leaf(t, x, lower, unit_diag, counter):
+    """One LAPACK solve of a leaf block, reversed into upper form when lower."""
+    k, cols = x.shape
+    # Reversing rows and columns maps the lower triangle onto the upper one.
+    u = np.where(_UPPER[:k, :k], t[::-1, ::-1] if lower else t, 0.0)
+    if unit_diag:
+        np.fill_diagonal(u, 1.0)
+    if lower:
+        x[::-1] = np.linalg.solve(u, x[::-1])
+    else:
+        x[:] = np.linalg.solve(u, x)
+    if counter is not None:
+        tri = k * (k - 1) // 2 * cols
+        counter.count(mults=tri if unit_diag else tri + k * cols, adds=tri)
 
 
 def block_qr(a, cfg: BlockConfig, engine: MmEngine, counter=None):

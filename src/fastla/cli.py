@@ -128,7 +128,7 @@ def cmd_decompose_lu(args) -> int:
     started = time.time()
     a = read_matrix(args.infile)
     engine = _engine_from(args)
-    res = lu.lur(a, engine, step_b=args.step_b)
+    res = lu.lur(a, engine)
     n = max(a.shape)
     g = baseline.pivot_growth(a, res.u)
     bound = 1e3 * n * n * EPS * g
@@ -329,15 +329,13 @@ def bench_qrr(sizes, engine, seed) -> dict:
 
 
 def bench_lur(sizes, engine, seed) -> dict:
-    # The invert-multiply step-b variant keeps all recursion work inside
-    # engine products, which is the cost recurrence being measured.
     rows = []
     rng = RngStream(seed)
     for i, n in enumerate(sizes):
         a = gaussian_matrix(n, n, rng.split(i))
         counter = OpCounter()
         t0 = time.time()
-        lu.lur(a, engine, counter, step_b=lu.STEP_B_INVERT, with_report=False)
+        lu.lur(a, engine, counter, with_report=False)
         rows.append({"n": n, "mults": counter.scalar_mults, "adds": counter.scalar_adds,
                      "seconds": time.time() - t0})
     return {"rows": rows, "exponent": _try_fit(sizes, rows)}
@@ -702,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose_qr)
     p = dec_sub.add_parser("lu")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--step-b", dest="step_b", choices=["solve", "invert"], default="solve")
     common(p)
     p.set_defaults(func=cmd_decompose_lu)
     for alias, fn in [("invert", cmd_invert), ("rurv", cmd_rurv), ("eig", cmd_eig),

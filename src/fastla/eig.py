@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dd
-from .baseline import SingularMatrixError, solve_unit_lower
+from .baseline import SingularMatrixError, solve_triangular
 from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, NonFiniteInputError,
                    RngStream, as_matrix, norm)
 from .inverse import gen_inv
 from .lu import lur
 from .matmul import CONVENTIONAL, MmEngine, multiply
-from .qr import solve_upper_triangular
 from .rurv import rurv
 from .sylvester import block_boundaries, sep_estimate, sylr
 
@@ -191,10 +190,9 @@ def _inv_and_logdet(x, engine, counter):
     diag = np.diag(res.u)
     if res.zero_pivot or np.any(diag == 0.0):
         raise SingularMatrixError("singular matrix in sign iteration")
-    n = x.shape[0]
-    eye = np.eye(n)
-    y = solve_unit_lower(res.l, eye[res.p], counter)
-    xi = solve_upper_triangular(res.u, y, counter)
+    y = solve_triangular(res.l, np.eye(x.shape[0])[res.p], lower=True, unit_diag=True,
+                         engine=engine, counter=counter)
+    xi = solve_triangular(res.u, y, engine=engine, counter=counter)
     return xi, float(np.sum(np.log(np.abs(diag))))
 
 
@@ -211,8 +209,9 @@ def moebius_apply(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL, count
     if res.zero_pivot or np.any(np.diag(res.u) == 0.0):
         raise SignDivergenceError("singular Moebius denominator")
     # X = num den^-1 from den^T X^T = num^T.
-    y = solve_unit_lower(res.l, np.ascontiguousarray(num.T)[res.p], counter)
-    xt = solve_upper_triangular(res.u, y, counter)
+    y = solve_triangular(res.l, num.T[res.p], lower=True, unit_diag=True, engine=engine,
+                         counter=counter)
+    xt = solve_triangular(res.u, y, engine=engine, counter=counter)
     return np.ascontiguousarray(xt.T)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import panel_qr_wy
-from .core import EPS, FROBENIUS, DimensionError, as_matrix, norm
+from .baseline import panel_qr_wy, solve_triangular
+from .core import EPS, FROBENIUS, DimensionError, NonFiniteInputError, as_matrix, norm
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport, WYFactor
 
@@ -104,33 +104,26 @@ def apply_qt(q: WYFactor, b, engine: MmEngine = CONVENTIONAL, counter=None):
 
 def solve_upper_triangular(r, rhs, counter=None):
     """Back substitution R x = rhs; exact zero diagonal raises."""
-    r = as_matrix(r)
-    m = r.shape[0]
-    x = np.array(rhs, dtype=np.float64, copy=True)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    diag = np.diag(r)
-    if np.any(diag == 0.0):
+    _check_full_rank(r)
+    return solve_triangular(r, rhs, counter=counter)
+
+
+def _check_full_rank(r):
+    if np.any(np.diag(r) == 0.0):
         raise RankDeficientError("zero diagonal in triangular solve")
-    for i in range(m - 1, -1, -1):
-        if i + 1 < m:
-            x[i, :] -= r[i, i + 1 :] @ x[i + 1 :, :]
-        x[i, :] /= diag[i]
-    if counter is not None:
-        cols = x.shape[1]
-        counter.count(mults=m * (m + 1) // 2 * cols, adds=m * (m - 1) // 2 * cols)
-    return x[:, 0] if squeeze else x
 
 
 def solve_ls(a, b, engine: MmEngine = CONVENTIONAL, counter=None):
     """Least squares min ||A x - b||_2 via x = R^{-1} (Q^T b)(1:m)."""
     a = as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NonFiniteInputError("solve_ls input holds NaN or inf")
     rhs = b[:, None] if b.ndim == 1 else b
     res = qrr(a, engine, counter, with_report=False)
+    _check_full_rank(res.r)
     c = apply_qt(res.q, rhs, engine, counter)[: a.shape[1], :]
-    x = solve_upper_triangular(res.r, c, counter)
+    x = solve_triangular(res.r, c, engine=engine, counter=counter)
     return x[:, 0] if b.ndim == 1 else x
 
 

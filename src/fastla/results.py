@@ -56,11 +56,6 @@ class WYFactor:
         wy = multiply(self.w, self.y, engine, counter)
         return np.eye(self.n) - wy.T
 
-    def det_sign(self) -> float:
-        """Determinant of Q: each genuine reflector contributes -1."""
-        genuine = int(np.sum(np.any(self.y != 0.0, axis=1)))
-        return -1.0 if genuine % 2 else 1.0
-
 
 @dataclass
 class StabilityReport:

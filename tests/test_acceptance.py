@@ -17,7 +17,7 @@ from fastla.cli import (bench_lur, bench_matmul, bench_qrr, fit_block_cost_model
 from fastla.eig import (default_split_tol, eigenvalues_of_schur, evecr,
                         norm_a21_profile, schur_dandc, svd_via_gram, symmetric_eig)
 from fastla.inverse import spd_inv, theorem1_embedding, tri_inv
-from fastla.lu import STEP_B_INVERT, lur
+from fastla.lu import lur
 from fastla.matmul import MmEngine, OpCounter, fit_exponent, multiply
 from fastla.qr import columnwise_scale_wrap, qrr
 from fastla.rurv import exact_rank_probe, f_statistic_experiment, rurv

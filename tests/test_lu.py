@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fastla.core import EPS, RngStream, gaussian_matrix, norm
-from fastla.baseline import SingularMatrixError, gepp_lu, pivot_growth
-from fastla.lu import STEP_B_INVERT, lur, solve_linear, solve_triangular
+from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
+from fastla.baseline import _TRI_LEAF, SingularMatrixError, gepp_lu, pivot_growth
+from fastla.lu import lur, solve_linear, solve_triangular
+from fastla.qr import solve_ls
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
 
 from helpers import dd_residual_lu, oracle_kappa2
@@ -56,12 +57,6 @@ class TestLur:
             res = lur(a, CONV)
             np.testing.assert_array_equal(res.p, p_ref)
 
-    def test_step_b_invert_same_contract(self, rng):
-        a = gaussian_matrix(32, 32, rng)
-        res = lur(a, MmEngine("strassen", cutoff=8), step_b=STEP_B_INVERT)
-        g = pivot_growth(a, res.u)
-        assert res.report.residual <= 1e3 * 32 * 32 * EPS * g
-
     def test_rectangular(self, rng):
         a = gaussian_matrix(24, 10, rng)
         res = lur(a)
@@ -99,21 +94,67 @@ class TestSolveTriangular:
         x = solve_triangular(l, np.array([2.0, 3.0]), lower=True, unit_diag=True)
         np.testing.assert_allclose(x, [2.0, 2.0], atol=8 * EPS)
 
-    def test_extended_oracle(self, rng):
+    @pytest.mark.parametrize("n", [1, _TRI_LEAF, _TRI_LEAF + 1, 2 * _TRI_LEAF + 3])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_extended_oracle(self, rng, n, lower, unit_diag, cols):
         from fastla import dd
 
-        t = np.triu(gaussian_matrix(16, 16, rng)) + 4.0 * np.eye(16)
-        b = gaussian_matrix(16, 3, rng.split(1))
-        x = solve_triangular(t, b)
-        x_ref = dd.solve_upper(t, b).to_float64()
-        kappa = oracle_kappa2(t)
-        assert norm(x - x_ref) <= 1e3 * 16 * 16 * EPS * kappa * norm(x_ref)
+        g = gaussian_matrix(n, n, rng.split(n))
+        tri = np.tril if lower else np.triu
+        diag = np.ones(n) if unit_diag else 1.0 + np.abs(np.diag(g))
+        t = tri(g, -1 if lower else 1) / np.sqrt(n) + np.diag(diag)
+        b = gaussian_matrix(n, cols or 1, rng.split(1))
+        if cols is None:
+            b = b[:, 0]
+        # Compact LU storage: the kernel must read neither the other
+        # triangle nor, with a unit diagonal, the stored diagonal.
+        stored = t + (np.triu(np.full((n, n), np.nan), 1) if lower
+                      else np.tril(np.full((n, n), np.nan), -1))
+        if unit_diag:
+            np.fill_diagonal(stored, np.nan)
+        x = solve_triangular(stored, b, lower=lower, unit_diag=unit_diag)
+        oracle = dd.solve_lower if lower else dd.solve_upper
+        x_ref = oracle(t, b, unit_diag=unit_diag).to_float64()
+        assert x.shape == b.shape
+        kappa = np.linalg.cond(t, 2)
+        assert norm(np.atleast_2d(x - x_ref)) <= (
+            1e3 * n * n * EPS * kappa * norm(np.atleast_2d(x_ref)))
 
     def test_zero_diagonal(self):
         t = np.triu(np.ones((3, 3)))
         t[1, 1] = 0.0
         with pytest.raises(Exception):
             solve_triangular(t, np.ones(3))
+
+
+class TestSolveTriangularCost:
+    @pytest.mark.parametrize("n", [_TRI_LEAF, _TRI_LEAF + 1, 2 * _TRI_LEAF + 3, 4 * _TRI_LEAF + 1])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    def test_conventional_tallies(self, rng, n, lower, unit_diag):
+        cols = 3
+        t = np.tril(gaussian_matrix(n, n, rng)) + n * np.eye(n)
+        if not lower:
+            t = np.ascontiguousarray(t.T)
+        counter = OpCounter()
+        solve_triangular(t, gaussian_matrix(n, cols, rng.split(1)), lower, unit_diag,
+                         CONV, counter)
+        tri = n * (n - 1) // 2 * cols
+        assert counter.scalar_mults == tri + (0 if unit_diag else n * cols)
+        assert counter.scalar_adds == tri
+
+    def test_updates_go_through_the_engine(self, rng):
+        n = 4 * _TRI_LEAF
+        t = np.tril(gaussian_matrix(n, n, rng)) + n * np.eye(n)
+        b = gaussian_matrix(n, n, rng.split(1))
+        mults = {}
+        for name, engine in [("conv", CONV), ("strassen", MmEngine("strassen", cutoff=1))]:
+            counter = OpCounter()
+            solve_triangular(t, b, lower=True, engine=engine, counter=counter)
+            mults[name] = counter.scalar_mults
+        assert mults["strassen"] < mults["conv"]
 
 
 class TestSolveLinear:
@@ -137,6 +178,16 @@ class TestSolveLinear:
             solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
 
 
+@pytest.mark.parametrize("solver", [solve_linear, solve_ls])
+@pytest.mark.parametrize("operand", ["a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite(rng, solver, operand, bad):
+    data = {"a": gaussian_matrix(6, 6, rng), "b": gaussian_matrix(6, 1, rng.split(1))[:, 0]}
+    data[operand].flat[2] = bad
+    with pytest.raises(NonFiniteInputError):
+        solver(data["a"], data["b"])
+
+
 class TestLurCost:
     def test_mult_count_exponent_strassen(self, rng):
         sizes = [32, 64, 128]
@@ -144,7 +195,7 @@ class TestLurCost:
         for n in sizes:
             counter = OpCounter()
             lur(gaussian_matrix(n, n, rng.split(n)), MmEngine("strassen", cutoff=1),
-                counter, step_b=STEP_B_INVERT, with_report=False)
+                counter, with_report=False)
             counts.append(counter.scalar_mults)
         slope = fit_exponent(sizes, counts)
         assert abs(slope - np.log2(7)) <= 0.15
