@@ -9,10 +9,19 @@ mu(n) * eps * ||A|| * ||B||):
   recursing down to a cutoff (default 64) and padding odd sizes with a
   zero row/column at each level.
 
-The Strassen recursion is executed in batched form: all sibling
-subproblems of one recursion level are stacked along a leading axis and
-advanced together, so the scalar arithmetic is exactly the recursive
-algorithm's while the interpreter overhead stays O(log n) per product.
+Each Strassen level forms Winograd's four S and four T sums with ``out=``
+and no other temporaries. While a level's operand stack (7 nb h^2 elements
+for nb pairs of half size h) fits in ``_BATCH_BUDGET``, the sums go into
+the slots of two (7, nb, h, h) stacks and the seven products recurse as
+one batch, so the interpreter's cost per level does not grow with nb; the
+U sums then reuse the product slots in place. Larger levels recurse on
+the seven products one at a time (depth first) on the schedule of Boyer,
+Dumas, Pernet & Zhou (2009): the products land in the quadrants of C and
+two temporaries, so the working set stays a small multiple of the
+operands'. Both orders perform the recursive algorithm's scalar
+operations in the same order, so results do not depend on the budget.
+Products whose smallest dimension is at most the cutoff are conventional
+products.
 
 Rectangular products are partitioned into squares of the smallest
 dimension; fringe strips fall back to the conventional product.
@@ -37,9 +46,9 @@ STRASSEN = "strassen"
 BLOCKED = "blocked"
 ENGINE_KINDS = (CONV, STRASSEN, BLOCKED)
 
-# Cap on the projected element count at the bottom recursion level of one
-# batched Strassen call; larger batches are processed in slices.
-_BATCH_BUDGET = 8_000_000
+# Largest operand stack (7 nb h^2 elements, 512 KiB) a Strassen level
+# recurses on as one batch; above it the seven products go depth first.
+_BATCH_BUDGET = 2 ** 16
 
 
 @dataclass
@@ -93,7 +102,7 @@ def multiply(a, b, engine: MmEngine = CONVENTIONAL, counter: OpCounter | None = 
     q2, r = b.shape
     if q != q2:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    if engine.kind == CONV:
+    if engine.kind == CONV or (engine.kind == STRASSEN and min(p, q, r) <= engine.cutoff):
         return _conv(a, b, counter)
     if engine.kind == BLOCKED:
         return _partitioned(a, b, counter, _conv_square_batch)
@@ -108,11 +117,11 @@ def _conv(a, b, counter):
     return a @ b
 
 
-def _conv_square_batch(abatch, bbatch, counter):
+def _conv_square_batch(abatch, bbatch, counter, out=None):
     nb, s, _ = abatch.shape
     if counter is not None:
         counter.count(mults=nb * s * s * s, adds=nb * s * s * (s - 1))
-    return np.matmul(abatch, bbatch)
+    return np.matmul(abatch, bbatch, out=out)
 
 
 def _partitioned(a, b, counter, square_batch):
@@ -122,17 +131,19 @@ def _partitioned(a, b, counter, square_batch):
     s = min(p, q, r)
     pb, qb, rb = p // s, q // s, r // s
     ps, qs, rs = pb * s, qb * s, rb * s
-    c = np.zeros((p, r))
     # Stack every (i, j, k) combination of full blocks into one batch.
     ablk = a[:ps, :qs].reshape(pb, s, qb, s).swapaxes(1, 2)  # (pb, qb, s, s)
     bblk = b[:qs, :rs].reshape(qb, s, rb, s).swapaxes(1, 2)  # (qb, rb, s, s)
     ab = np.broadcast_to(ablk[:, None], (pb, rb, qb, s, s)).reshape(-1, s, s)
     bb = np.broadcast_to(bblk.swapaxes(0, 1)[None], (pb, rb, qb, s, s)).reshape(-1, s, s)
     prod = square_batch(ab, bb, counter).reshape(pb, rb, qb, s, s)
-    summed = prod.sum(axis=2)
+    summed = prod.sum(axis=2).swapaxes(1, 2).reshape(ps, rs)
     if counter is not None and qb > 1:
         counter.count(adds=pb * rb * (qb - 1) * s * s)
-    c[:ps, :rs] = summed.swapaxes(1, 2).reshape(ps, rs)
+    if (ps, qs, rs) == (p, q, r):
+        return summed
+    c = np.empty((p, r))
+    c[:ps, :rs] = summed
     # Fringe strips (dimensions not divisible by s) go through the
     # conventional product.
     if qs < q:
@@ -146,87 +157,111 @@ def _partitioned(a, b, counter, square_batch):
     return c
 
 
-def _strassen_bottom_elems(s: int, cutoff: int) -> int:
-    """Projected per-pair element count at the recursion bottom."""
-    elems = 1
-    while s > cutoff and s > 1:
-        if s % 2:
-            s += 1
-        s //= 2
-        elems *= 7
-    return elems * s * s
-
-
-def _strassen_batch(abatch, bbatch, cutoff, counter):
-    """Batched Winograd-Strassen on a stack of square pairs."""
+def _strassen_batch(abatch, bbatch, cutoff, counter, out=None):
+    """Winograd-Strassen on a stack of square pairs, into ``out`` if given."""
     nb, s, _ = abatch.shape
     if s <= cutoff or s == 1:
-        return _conv_square_batch(abatch, bbatch, counter)
-    if nb > 1:
-        bottom = _strassen_bottom_elems(s, cutoff)
-        if nb * bottom > _BATCH_BUDGET:
-            chunk = max(1, _BATCH_BUDGET // bottom)
-            parts = [
-                _strassen_batch(abatch[i : i + chunk], bbatch[i : i + chunk], cutoff, counter)
-                for i in range(0, nb, chunk)
-            ]
-            return np.concatenate(parts, axis=0)
-    trim = None
+        return _conv_square_batch(abatch, bbatch, counter, out)
+    if out is None:
+        out = np.empty((nb, s, s))
     if s % 2:
-        trim = s
-        ap = np.zeros((nb, s + 1, s + 1))
-        bp = np.zeros((nb, s + 1, s + 1))
-        ap[:, :s, :s] = abatch
-        bp[:, :s, :s] = bbatch
-        abatch, bbatch = ap, bp
-        s += 1
-    h = s // 2
-    a11 = abatch[:, :h, :h]
-    a12 = abatch[:, :h, h:]
-    a21 = abatch[:, h:, :h]
-    a22 = abatch[:, h:, h:]
-    b11 = bbatch[:, :h, :h]
-    b12 = bbatch[:, :h, h:]
-    b21 = bbatch[:, h:, :h]
-    b22 = bbatch[:, h:, h:]
-
-    s1 = a21 + a22
-    s2 = s1 - a11
-    s3 = a11 - a21
-    s4 = a12 - s2
-    t1 = b12 - b11
-    t2 = b22 - t1
-    t3 = b22 - b12
-    t4 = t2 - b21
+        abatch = _pad(abatch)
+        bbatch = _pad(bbatch)
+    h = (s + 1) // 2
+    if 7 * nb * h * h <= _BATCH_BUDGET:
+        _winograd_breadth_first(abatch, bbatch, out, cutoff, counter)
+    elif s % 2:
+        padded = np.empty((nb, s + 1, s + 1))
+        out[...] = _winograd_depth_first(abatch, bbatch, padded, cutoff, counter)[:, :s, :s]
+    else:
+        _winograd_depth_first(abatch, bbatch, out, cutoff, counter)
     if counter is not None:
-        counter.count(adds=8 * nb * h * h)
+        counter.count(adds=15 * nb * h * h)  # 8 S/T sums and 7 U sums
+    return out
 
+
+def _pad(batch):
+    """The stack with a zero row and column appended to each matrix."""
+    nb, s, _ = batch.shape
+    padded = np.zeros((nb, s + 1, s + 1))
+    padded[:, :s, :s] = batch
+    return padded
+
+
+def _winograd_breadth_first(a, b, c, cutoff, counter):
+    """One level whose seven products recurse as a single (7 nb) batch.
+
+    The S and T sums go straight into the slots of the operand stacks;
+    U2, U3 and U4 overwrite the slots of M6 and M7. ``c`` may be one
+    row and column smaller than ``a``: the padded ones are not written.
+    """
+    nb, s, _ = a.shape
+    h = s // 2
+    a11, a12, a21, a22 = a[:, :h, :h], a[:, :h, h:], a[:, h:, :h], a[:, h:, h:]
+    b11, b12, b21, b22 = b[:, :h, :h], b[:, :h, h:], b[:, h:, :h], b[:, h:, h:]
     left = np.empty((7, nb, h, h))
     right = np.empty((7, nb, h, h))
-    left[0], right[0] = a11, b11
-    left[1], right[1] = a12, b21
-    left[2], right[2] = s4, b22
-    left[3], right[3] = a22, t4
-    left[4], right[4] = s1, t1
-    left[5], right[5] = s2, t2
-    left[6], right[6] = s3, t3
+    left[0], left[1], left[3] = a11, a12, a22
+    np.add(a21, a22, out=left[4])  # S1
+    np.subtract(left[4], a11, out=left[5])  # S2
+    np.subtract(a11, a21, out=left[6])  # S3
+    np.subtract(a12, left[5], out=left[2])  # S4
+    right[0], right[1], right[2] = b11, b21, b22
+    np.subtract(b12, b11, out=right[4])  # T1
+    np.subtract(b22, right[4], out=right[5])  # T2
+    np.subtract(b22, b12, out=right[6])  # T3
+    np.subtract(right[5], b21, out=right[3])  # T4
+    m = _strassen_batch(left.reshape(7 * nb, h, h), right.reshape(7 * nb, h, h),
+                        cutoff, counter).reshape(7, nb, h, h)
+    np.add(m[0], m[5], out=m[5])  # U2
+    np.add(m[5], m[6], out=m[6])  # U3
+    np.add(m[5], m[4], out=m[5])  # U4
+    k = c.shape[1] - h
+    np.add(m[0], m[1], out=c[:, :h, :h])
+    np.add(m[5, :, :, :k], m[2, :, :, :k], out=c[:, :h, h:])
+    np.subtract(m[6, :, :k], m[3, :, :k], out=c[:, h:, :h])
+    np.add(m[6, :, :k, :k], m[4, :, :k, :k], out=c[:, h:, h:])
 
-    m = _strassen_batch(
-        left.reshape(7 * nb, h, h), right.reshape(7 * nb, h, h), cutoff, counter
-    ).reshape(7, nb, h, h)
 
-    u2 = m[0] + m[5]
-    u3 = u2 + m[6]
-    u4 = u2 + m[4]
-    c = np.empty((nb, s, s))
-    c[:, :h, :h] = m[0] + m[1]
-    c[:, :h, h:] = u4 + m[2]
-    c[:, h:, :h] = u3 - m[3]
-    c[:, h:, h:] = u3 + m[4]
-    if counter is not None:
-        counter.count(adds=7 * nb * h * h)
-    if trim is not None:
-        c = np.ascontiguousarray(c[:, :trim, :trim])
+def _winograd_depth_first(a, b, c, cutoff, counter):
+    """One level whose seven products recurse one at a time; returns ``c``.
+
+    Boyer, Dumas, Pernet & Zhou's schedule: the products land in the
+    quadrants of ``c`` and two temporaries, and the U sums accumulate there.
+    """
+    nb, s, _ = a.shape
+    h = s // 2
+    a11, a12, a21, a22 = a[:, :h, :h], a[:, :h, h:], a[:, h:, :h], a[:, h:, h:]
+    b11, b12, b21, b22 = b[:, :h, :h], b[:, :h, h:], b[:, h:, :h], b[:, h:, h:]
+    c11, c12, c21, c22 = c[:, :h, :h], c[:, :h, h:], c[:, h:, :h], c[:, h:, h:]
+    x = np.empty((nb, h, h))
+    y = np.empty((nb, h, h))
+
+    def product(p, q, into):
+        _strassen_batch(p, q, cutoff, counter, into)
+
+    np.subtract(a11, a21, out=x)  # S3
+    np.subtract(b22, b12, out=y)  # T3
+    product(x, y, c21)  # M7
+    np.add(a21, a22, out=x)  # S1
+    np.subtract(b12, b11, out=y)  # T1
+    product(x, y, c22)  # M5
+    np.subtract(x, a11, out=x)  # S2
+    np.subtract(b22, y, out=y)  # T2
+    product(x, y, c12)  # M6
+    np.subtract(a12, x, out=x)  # S4
+    product(x, b22, c11)  # M3
+    product(a11, b11, x)  # M1
+    np.add(x, c12, out=c12)  # U2 = M1 + M6
+    np.add(c12, c21, out=c21)  # U3 = U2 + M7
+    np.add(c12, c22, out=c12)  # U4 = U2 + M5
+    np.add(c21, c22, out=c22)  # U7 = U3 + M5
+    np.add(c12, c11, out=c12)  # U5 = U4 + M3
+    np.subtract(y, b21, out=y)  # T4
+    product(a22, y, c11)  # M4
+    np.subtract(c21, c11, out=c21)  # U6 = U3 - M4
+    product(a12, b21, c11)  # M2
+    np.add(x, c11, out=c11)  # U1 = M1 + M2
     return c
 
 

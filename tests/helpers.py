@@ -143,3 +143,38 @@ def oracle_sigma(a) -> np.ndarray:
 def oracle_kappa2(a) -> float:
     s = oracle_sigma(a)
     return float(s[0] / s[-1])
+
+
+def strassen_reference(a, b, cutoff: int) -> np.ndarray:
+    """Plain depth-first Winograd-Strassen on one square pair.
+
+    The engine's schedule written as the textbook 2-D recursion: a zero
+    row and column pad odd sizes, then the S/T sums, the seven products
+    (conventional at or below ``cutoff``) and the U combination, in the
+    same order, so the engine must match it bit for bit.
+    """
+    n = a.shape[0]
+    if n <= cutoff or n == 1:
+        return a @ b
+    if n % 2:
+        a = np.pad(a, ((0, 1), (0, 1)))
+        b = np.pad(b, ((0, 1), (0, 1)))
+    h = a.shape[0] // 2
+    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
+    b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
+    s1 = a21 + a22
+    s2 = s1 - a11
+    s3 = a11 - a21
+    s4 = a12 - s2
+    t1 = b12 - b11
+    t2 = b22 - t1
+    t3 = b22 - b12
+    t4 = t2 - b21
+    m1, m2, m3, m4, m5, m6, m7 = (
+        strassen_reference(np.ascontiguousarray(x), np.ascontiguousarray(y), cutoff)
+        for x, y in ((a11, b11), (a12, b21), (s4, b22), (a22, t4), (s1, t1), (s2, t2), (s3, t3)))
+    u2 = m1 + m6
+    u3 = u2 + m7
+    u4 = u2 + m5
+    c = np.block([[m1 + m2, u4 + m3], [u3 - m4, u3 + m5]])
+    return c[:n, :n]

@@ -137,6 +137,10 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("n,")
         assert len(lines) == 3
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert float(row["blas_seconds"]) > 0.0
 
     def test_block_lu_rows(self, workdir):
         rep = workdir / "blu.json"

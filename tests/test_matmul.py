@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from fastla import dd
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
 from fastla.matmul import (ErrorModel, MmEngine, OpCounter, fit_exponent,
                            measure_mm_error, multiply)
+
+from helpers import strassen_reference
 
 ENGINES = [MmEngine("conv"), MmEngine("blocked"), MmEngine("strassen", cutoff=2),
            MmEngine("strassen", cutoff=1)]
@@ -110,6 +113,49 @@ class TestCounting:
         m1, a1 = counter.scalar_mults, counter.scalar_adds
         multiply(a, a, MmEngine("strassen", cutoff=2), counter)
         assert counter.scalar_mults > m1 and counter.scalar_adds > a1
+
+
+class TestStrassenSchedule:
+    @pytest.mark.parametrize("n,cutoff", [(n, 1) for n in (2, 3, 9, 16)]
+                             + [(n, c) for c in (32, 64) for n in (65, 127, 128, 200, 257)])
+    def test_bit_identical_to_reference(self, n, cutoff, rng):
+        a = gaussian_matrix(n, n, rng.split(2 * n))
+        b = gaussian_matrix(n, n, rng.split(2 * n + 1))
+        got = multiply(a, b, MmEngine("strassen", cutoff))
+        np.testing.assert_array_equal(got, strassen_reference(a, b, cutoff))
+
+    def test_rectangular_blocks_bit_identical(self, rng):
+        # 260 x 130 by 130 x 390: six 130-square blocks, no fringe, no sums.
+        s = 130
+        a = gaussian_matrix(2 * s, s, rng.split(0))
+        b = gaussian_matrix(s, 3 * s, rng.split(1))
+        want = np.block([[strassen_reference(a[i * s:(i + 1) * s], b[:, j * s:(j + 1) * s], 32)
+                          for j in range(3)] for i in range(2)])
+        np.testing.assert_array_equal(multiply(a, b, MmEngine("strassen", 32)), want)
+
+    @pytest.mark.parametrize("shape", [(300, 300, 1), (130, 40, 257), (65, 65, 64)])
+    def test_thin_products_are_conventional(self, shape, rng):
+        p, q, r = shape
+        a = gaussian_matrix(p, q, rng.split(0))
+        b = gaussian_matrix(q, r, rng.split(1))
+        counter = OpCounter()
+        got = multiply(a, b, MmEngine("strassen"), counter)
+        np.testing.assert_array_equal(got, a @ b)
+        assert counter.scalar_mults == p * q * r
+        assert counter.scalar_adds == p * (q - 1) * r
+
+    @pytest.mark.parametrize("n,cutoff,limit", [(512, 64, 16), (256, 1, 32)])
+    def test_peak_memory(self, n, cutoff, limit, rng):
+        # Peak traced allocation of one product, result included, in n^2 doubles.
+        a = gaussian_matrix(n, n, rng.split(0))
+        b = gaussian_matrix(n, n, rng.split(1))
+        tracemalloc.start()
+        try:
+            multiply(a, b, MmEngine("strassen", cutoff))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= limit
 
 
 class TestFitExponent:
