@@ -749,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("svd", help="SVD via Gram-matrix eigensplits")
+    p = sub.add_parser("svd", help="SVD via the symmetric eigensplits of [[0, A], [A^T, 0]]")
     p.add_argument("--in", dest="infile", required=True)
     common(p)
     p.set_defaults(func=cmd_svd)

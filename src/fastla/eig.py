@@ -15,6 +15,12 @@ random factorization a few times and subdividing the region after that.
 Real arithmetic throughout: dividing lines are vertical, circles are
 centered on the real axis, and complex conjugate pairs terminate as 2x2
 quasi-triangular bumps.
+
+The symmetric eigenproblem is the same driver with every compressed
+block re-symmetrized.  The SVD is that symmetric driver applied to
+[[0, A], [A^T, 0]] (Golub-Kahan), whose eigenvalues are the singular
+values of A and their negatives; ``svd_via_gram`` keeps the name of the
+Gram-matrix route it replaced because its callers use that name.
 """
 
 from __future__ import annotations
@@ -24,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dd
 from .baseline import SingularMatrixError, solve_triangular
 from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, NonFiniteInputError,
                    RngStream, as_matrix, norm)
-from .inverse import gen_inv
 from .lu import lur
 from .matmul import CONVENTIONAL, MmEngine, multiply
+from .qr import positive_q
 from .rurv import rurv
 from .sylvester import block_boundaries, sep_estimate, sylr
 
@@ -42,10 +47,6 @@ EVEC_EXPONENT = 3.0  # calibrated c' in the eigenvector error bound
 
 class SignDivergenceError(RuntimeError):
     """The sign iteration failed to converge (eigenvalues on the split curve)."""
-
-
-class SplitFailureError(RuntimeError):
-    """No acceptable split was found for a diagonal block."""
 
 
 @dataclass
@@ -145,27 +146,17 @@ def default_split_tol(n: int) -> float:
 
 
 def sign_function(a, cfg: SignIterConfig | None = None,
-                  engine: MmEngine = CONVENTIONAL, inverter: str = "lu",
-                  counter=None) -> np.ndarray:
+                  engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarray:
     """Newton iteration for sign(A); requires no eigenvalue on the imaginary axis."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("sign_function requires a square matrix")
     cfg = cfg or SignIterConfig()
-    if cfg.scaling == "determinantal" and inverter != "lu":
-        raise ValueError("determinantal scaling needs the lu inverter")
     x = a.copy()
     n = a.shape[0]
     for _ in range(cfg.max_iters):
         try:
-            if inverter == "lu":
-                xi, logdet = _inv_and_logdet(x, engine, counter)
-            elif inverter == "gen":
-                xi = gen_inv(x, engine, counter=counter, with_report=False)[0]
-                logdet = 0.0
-            else:
-                xi = inverter(x)
-                logdet = 0.0
+            xi, logdet = _inv_and_logdet(x, engine, counter)
         except (SingularMatrixError, ZeroDivisionError) as exc:
             raise SignDivergenceError("singular iterate in sign iteration") from exc
         if cfg.scaling == "determinantal":
@@ -238,19 +229,19 @@ def norm_a21_profile(ahat) -> np.ndarray:
 
 def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
                rng: RngStream | None = None, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-               sign_cfg: SignIterConfig | None = None, split_tol: float | None = None,
-               inverter: str = "lu", counter=None, symmetric: bool = False) -> SplitOutcome:
+               split_tol: float | None = None, counter=None,
+               symmetric: bool = False) -> SplitOutcome:
     """Attempt one spectral split of ``a`` along ``region``."""
     a = as_matrix(a)
     n = a.shape[0]
     rng = rng or RngStream(0)
     tol = split_tol if split_tol is not None else default_split_tol(n)
-    cfg = sign_cfg or SignIterConfig(max_iters=DEFAULT_SIGN_ITERS)
+    cfg = SignIterConfig(max_iters=DEFAULT_SIGN_ITERS)
     try:
         am = moebius_apply(a, region, engine, counter)
         if symmetric:
             am = 0.5 * (am + am.T)
-        s = sign_function(am, cfg, engine, inverter, counter)
+        s = sign_function(am, cfg, engine, counter)
     except SignDivergenceError:
         return SplitOutcome(accepted=False, attempts=0)
     p_plus = 0.5 * (s + np.eye(n))
@@ -334,9 +325,7 @@ def _candidate_lines(lo: float, hi: float, min_width: float, budget: int, diag=N
 
 
 def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None,
-                split_tol: float | None = None, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                sign_cfg: SignIterConfig | None = None, symmetric: bool = False,
-                line_budget: int = DEFAULT_LINE_BUDGET, inverter: str = "lu",
+                split_tol: float | None = None, symmetric: bool = False,
                 use_disks: bool = False, counter=None) -> SchurResult:
     """Block Schur factorization A = Q T Q^T by recursive spectral splitting.
 
@@ -376,7 +365,7 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         block = t[lo:hi, lo:hi].copy()
         (re_lo, re_hi), (im_lo, im_hi) = gershgorin_rectangle(block)
         regions = [SplitRegion.half_plane(x)
-                   for x in _candidate_lines(re_lo, re_hi, min_width, line_budget,
+                   for x in _candidate_lines(re_lo, re_hi, min_width, DEFAULT_LINE_BUDGET,
                                              diag=np.diag(block))]
         if use_disks and not symmetric and im_hi > 0.0:
             # Circles centered on the real axis separate complex pairs from
@@ -391,9 +380,8 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         line = None
         for region in regions:
             node_counter[0] += 1
-            cand = split_once(block, region, engine,
-                              rng.split(node_counter[0]), max_attempts,
-                              sign_cfg, split_tol, inverter, counter, symmetric)
+            cand = split_once(block, region, engine, rng.split(node_counter[0]),
+                              split_tol=split_tol, counter=counter, symmetric=symmetric)
             if cand.accepted and 0 < cand.r < size:
                 outcome = cand
                 line = region.x if region.kind == "half-plane" else (region.center, region.radius)
@@ -482,14 +470,18 @@ def symmetric_eig(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = No
 
 def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None,
                  split_tol: float | None = None, counter=None):
-    """SVD of a square matrix through its Gram matrices: A = U diag(s) V^T.
+    """SVD of a square matrix, A = U diag(s) V^T, from the symmetric Schur
+    driver on the Jordan-Wielandt matrix H = [[0, A], [A^T, 0]].
 
-    Orthogonal bases for matched left/right singular subspaces come from
-    spectral splits of A A^T and A^T A (formed in extended precision);
-    each compressed Q_L^T A Q_R must be close enough to block diagonal,
-    at the block size minimizing both off-diagonal sums, to be accepted.
-    Blocks whose Gram spectrum has no resolvable gap are near-isometries
-    and finish directly (flagged as sigma clusters).
+    H has the eigenpairs (+-sigma_i, [u_i; +-v_i] / sqrt(2)), so s is the
+    n largest diagonal entries of H's Schur form (clipped at 0), and U and
+    V are sqrt(2) times the top and bottom halves of their Schur vectors;
+    the result inherits the symmetric driver's normwise bound.  An unsplit
+    cluster that straddles 0 mixes the +sigma and -sigma vectors, so when
+    the driver flags a cluster, U and V are re-orthonormalized as the Q of
+    a QR with nonnegative R diagonal.  Returns (U, s, V, flags), the flags
+    being the driver's ``cluster:lo:hi`` indexed into H.  The name predates
+    this route and is kept for its callers.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -497,84 +489,19 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
         raise DimensionError("svd_via_gram requires a square matrix")
     if not np.all(np.isfinite(a)):
         raise NonFiniteInputError("svd_via_gram requires finite entries")
-    rng = rng or RngStream(0)
-    u = np.eye(n)
-    v = np.eye(n)
-    m = a.copy()
-    flags: list = []
-    node_counter = [0]
-    tol = split_tol if split_tol is not None else default_split_tol(n)
-
-    def gram(block, left: bool):
-        b = dd.DD(block)
-        g = (b @ b.T) if left else (b.T @ b)
-        out = g.to_float64()
-        return 0.5 * (out + out.T)
-
-    def process(lo: int, hi: int):
-        size = hi - lo
-        block = m[lo:hi, lo:hi]
-        if size == 1:
-            if block[0, 0] < 0.0:
-                u[:, lo] = -u[:, lo]
-                m[lo, lo] = -block[0, 0]
-            return
-        gl = gram(block, left=True)
-        gr = gram(block, left=False)
-        (g_lo, g_hi), _ = gershgorin_rectangle(gl)
-        g_lo = max(g_lo, 0.0)
-        scale_s = norm(block, ENTRYWISE_SUM)
-        width = g_hi - g_lo
-        if width <= max(tol * g_hi, 0.0) or width <= 0.0:
-            _finish_isometry(lo, hi)
-            return
-        done = False
-        for thr in _candidate_lines(g_lo, g_hi, tol * g_hi, DEFAULT_LINE_BUDGET,
-                                    diag=np.diag(gl)):
-            node_counter[0] += 1
-            sub = rng.split(node_counter[0])
-            out_l = split_once(gl, SplitRegion.half_plane(thr), engine, sub.split(0),
-                               symmetric=True, counter=counter)
-            out_r = split_once(gr, SplitRegion.half_plane(thr), engine, sub.split(1),
-                               symmetric=True, counter=counter)
-            if not (out_l.accepted and out_r.accepted):
-                continue
-            ql, qr = out_l.q, out_r.q
-            comp = multiply(multiply(np.ascontiguousarray(ql.T), block, engine, counter),
-                            qr, engine, counter)
-            lower = norm_a21_profile(comp)
-            upper = norm_a21_profile(np.ascontiguousarray(comp.T))
-            profile = lower + upper
-            r = int(np.argmin(profile)) + 1
-            if profile[r - 1] > tol * scale_s:
-                continue
-            comp[r:, :r] = 0.0
-            comp[:r, r:] = 0.0
-            m[lo:hi, lo:hi] = comp
-            u[:, lo:hi] = multiply(u[:, lo:hi], ql, engine, counter)
-            v[:, lo:hi] = multiply(v[:, lo:hi], qr, engine, counter)
-            process(lo, lo + r)
-            process(lo + r, hi)
-            done = True
-            break
-        if not done:
-            _finish_isometry(lo, hi)
-            flags.append(f"sigma-cluster:{lo}:{hi}")
-
-    def _finish_isometry(lo: int, hi: int):
-        block = m[lo:hi, lo:hi]
-        size = hi - lo
-        sigma0 = norm(block, FROBENIUS) / math.sqrt(size)
-        if sigma0 == 0.0:
-            m[lo:hi, lo:hi] = 0.0
-            return
-        u[:, lo:hi] = multiply(u[:, lo:hi], block / sigma0, engine, counter)
-        m[lo:hi, lo:hi] = sigma0 * np.eye(size)
-
-    process(0, n)
-    sigma = np.diag(m).copy()
-    order = np.argsort(-sigma)
-    return u[:, order], sigma[order], v[:, order], flags
+    h = np.zeros((2 * n, 2 * n))
+    h[:n, n:] = a
+    h[n:, :n] = a.T
+    res = schur_dandc(h, engine, rng, split_tol, symmetric=True, counter=counter)
+    lam = np.diag(res.t)
+    top = np.argsort(-lam)[:n]
+    sigma = np.maximum(lam[top], 0.0)
+    u = math.sqrt(2.0) * res.q[:n, top]
+    v = math.sqrt(2.0) * res.q[n:, top]
+    if res.flags:
+        u = positive_q(u, engine, counter)
+        v = positive_q(v, engine, counter)
+    return u, sigma, v, res.flags
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def qrr(a, engine: MmEngine = CONVENTIONAL, counter=None,
     return QrResult(r=r, q=q, report=report)
 
 
+def positive_q(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarray:
+    """The explicit Q of A = Q R with the R diagonal forced nonnegative.
+
+    The sign fix makes Q unique for full-rank A: a Gaussian A gives a
+    Haar-distributed Q, and an A with nearly orthonormal columns gives a Q
+    close to A rather than one with columns of flipped sign.
+    """
+    res = qrr(a, engine, counter, with_report=False)
+    q = res.q.explicit_q(engine, counter)
+    signs = np.where(np.diag(res.r) < 0.0, -1.0, 1.0)
+    return q * signs[None, :]
+
+
 def _qrr_rec(a, engine, counter, panel_cutoff):
     """Factorize the view ``a`` in place; returns (W, Y)."""
     n, m = a.shape

@@ -20,7 +20,7 @@ import numpy as np
 from .baseline import jacobi_svd
 from .core import EPS, FROBENIUS, DimensionError, RngStream, as_matrix, gaussian_matrix, norm
 from .matmul import CONVENTIONAL, MmEngine, multiply
-from .qr import qrr
+from .qr import positive_q, qrr
 from .results import StabilityReport, WYFactor
 
 
@@ -61,11 +61,7 @@ def haar_orthogonal(n: int, rng: RngStream, engine: MmEngine = CONVENTIONAL) -> 
     """
     if n < 1:
         raise DimensionError("haar_orthogonal needs n >= 1")
-    b = gaussian_matrix(n, n, rng)
-    res = qrr(b, engine, with_report=False)
-    q = res.q.explicit_q(engine)
-    signs = np.where(np.diag(res.r) < 0.0, -1.0, 1.0)
-    return q * signs[None, :]
+    return positive_q(gaussian_matrix(n, n, rng), engine)
 
 
 def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None,

@@ -62,10 +62,6 @@ class TestSignFunction:
         s = sign_function(a, SignIterConfig(scaling="determinantal"))
         np.testing.assert_allclose(s, np.diag([1.0, -1.0, 1.0]), atol=1e-10)
 
-    def test_gen_inverter_route(self):
-        s = sign_function(np.diag([2.0, -3.0]), inverter="gen")
-        np.testing.assert_allclose(s, np.diag([1.0, -1.0]), atol=1e-9)
-
 
 class TestNormA21:
     def test_recurrence_equals_direct_summation(self, rng):
@@ -229,15 +225,32 @@ class TestSvdViaGram:
         assert norm(q - u @ np.diag(s) @ v.T) <= 1e4 * EPS * 8
 
     def test_random_vs_jacobi(self, rng):
-        n = 32
-        a = gaussian_matrix(n, n, rng)
-        u, s, v, flags = svd_via_gram(a, rng=rng.split(1))
-        s_o = jacobi_svd(a)[1]
-        na = norm(a)
-        assert np.max(np.abs(s - s_o)) <= 1e4 * EPS * na
-        assert norm(a - u @ np.diag(s) @ v.T) <= 1e4 * EPS * na
-        assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS
-        assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS
+        from fastla.rurv import haar_orthogonal
+
+        p, q = haar_orthogonal(32, rng.split(2)), haar_orthogonal(32, rng.split(3))
+        rank16 = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 16), np.zeros(16)])) @ q.T
+        x, y = rng.split(5).gaussians(16), rng.split(6).gaussians(16)
+        seed8 = RngStream(8).split(0)
+        # (name, A, rng, rank deficient): the rank-deficient inputs leave an
+        # unsplit cluster at 0 in [[0, A], [A^T, 0]], which must be flagged.
+        cases = [
+            ("gaussian 32", gaussian_matrix(32, 32, rng), rng.split(1), False),
+            ("rank 16 of 32", rank16, rng.split(4), True),
+            ("rank 1", np.outer(x, y), rng.split(7), True),
+            ("zeros", np.zeros((8, 8)), rng.split(8), True),
+            ("spectral seed 8 job 0", gaussian_matrix(64, 64, seed8.split(0)),
+             seed8.split(2).split(2), False),
+        ]
+        for name, a, sub, deficient in cases:
+            n = a.shape[0]
+            u, s, v, flags = svd_via_gram(a, rng=sub)
+            s_o = jacobi_svd(a)[1]
+            na = norm(a)
+            assert np.max(np.abs(s - s_o)) <= 1e4 * EPS * na, name
+            assert norm(a - u @ np.diag(s) @ v.T) <= 1e4 * EPS * na, name
+            assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS, name
+            assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS, name
+            assert flags or not deficient, name
 
     def test_graded_spectrum(self, rng):
         from helpers import planted_svd
