@@ -6,7 +6,7 @@ from fastla.baseline import householder_qr
 from fastla.lu import lur
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
 from fastla.qr import (RankDeficientError, apply_qt, columnwise_scale_wrap,
-                       determinant, qrr, solve_ls)
+                       determinant, positive_q, qrr, solve_ls)
 from fastla.rurv import rurv
 
 from helpers import dd_residual_qr, exact_det, oracle_kappa2
@@ -119,6 +119,21 @@ class TestApplyQt:
         res = qrr(gaussian_matrix(6, 3, rng))
         with pytest.raises(Exception):
             apply_qt(res.q, np.ones((5, 2)))
+
+
+class TestPositiveQ:
+    def test_nonnegative_r_and_close_to_orthonormal_input(self, rng):
+        n = 16
+        a = gaussian_matrix(n, n, rng.split(0))
+        q = positive_q(a)
+        assert norm(q.T @ q - np.eye(n)) <= 1e3 * n * n * EPS
+        r = q.T @ a
+        assert norm(np.tril(r, -1)) <= 1e3 * n * n * EPS * norm(a)
+        assert np.all(np.diag(r) >= 0.0)
+        # Nearly orthonormal columns come back almost unchanged, not with
+        # columns of flipped sign.
+        b = q + 1e-8 * gaussian_matrix(n, n, rng.split(1))
+        assert norm(positive_q(b) - b) <= 1e-6
 
 
 class TestSolveLs:
