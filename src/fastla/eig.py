@@ -476,12 +476,14 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     H has the eigenpairs (+-sigma_i, [u_i; +-v_i] / sqrt(2)), so s is the
     n largest diagonal entries of H's Schur form (clipped at 0), and U and
     V are sqrt(2) times the top and bottom halves of their Schur vectors;
-    the result inherits the symmetric driver's normwise bound.  An unsplit
-    cluster that straddles 0 mixes the +sigma and -sigma vectors, so when
-    the driver flags a cluster, U and V are re-orthonormalized as the Q of
-    a QR with nonnegative R diagonal.  Returns (U, s, V, flags), the flags
-    being the driver's ``cluster:lo:hi`` indexed into H.  The name predates
-    this route and is kept for its callers.
+    the result inherits the symmetric driver's normwise bound.  A cluster
+    or a 2x2 leaf at 0 mixes the +sigma and -sigma vectors, so when the
+    driver flags a cluster (``cluster:lo:hi``, indexed into H) or the
+    factors miss the bound (U, V orthonormal to 1e3 n^2 eps, flagged
+    ``orthogonality``; A = U diag(s) V^T to 1e4 eps ||A||_F, flagged
+    ``reconstruction``), U and V are re-orthonormalized as the Q of a QR
+    with nonnegative R diagonal.  Returns (U, s, V, flags).  The name
+    predates this route and is kept for its callers.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -498,10 +500,16 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     sigma = np.maximum(lam[top], 0.0)
     u = math.sqrt(2.0) * res.q[:n, top]
     v = math.sqrt(2.0) * res.q[n:, top]
-    if res.flags:
-        u = positive_q(u, engine, counter)
-        v = positive_q(v, engine, counter)
-    return u, sigma, v, res.flags
+    flags = list(res.flags)
+    if not flags:
+        orth = max(norm(multiply(x.T, x, engine, counter) - np.eye(n)) for x in (u, v))
+        if orth > 1e3 * n * n * EPS:
+            flags.append("orthogonality")
+        elif norm(a - multiply(u * sigma, v.T, engine, counter)) > 1e4 * EPS * norm(a):
+            flags.append("reconstruction")
+    if flags:
+        u, v = positive_q(u, engine, counter), positive_q(v, engine, counter)
+    return u, sigma, v, flags
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,3 @@ class StabilityReport:
     norm_kind: str = FROBENIUS
     cond_estimate: float | None = None
     flags: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "orth_defect": self.orth_defect,
-            "norm_kind": self.norm_kind,
-            "cond_estimate": self.cond_estimate,
-            "flags": list(self.flags),
-        }

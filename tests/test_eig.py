@@ -229,15 +229,20 @@ class TestSvdViaGram:
 
         p, q = haar_orthogonal(32, rng.split(2)), haar_orthogonal(32, rng.split(3))
         rank16 = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 16), np.zeros(16)])) @ q.T
+        rank31 = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 31), [0.0]])) @ q.T
         x, y = rng.split(5).gaussians(16), rng.split(6).gaussians(16)
         seed8 = RngStream(8).split(0)
         # (name, A, rng, rank deficient): the rank-deficient inputs leave an
-        # unsplit cluster at 0 in [[0, A], [A^T, 0]], which must be flagged.
+        # unsplit cluster or a 2x2 leaf at 0 in [[0, A], [A^T, 0]], which
+        # must be flagged.
         cases = [
             ("gaussian 32", gaussian_matrix(32, 32, rng), rng.split(1), False),
             ("rank 16 of 32", rank16, rng.split(4), True),
             ("rank 1", np.outer(x, y), rng.split(7), True),
             ("zeros", np.zeros((8, 8)), rng.split(8), True),
+            ("zero 1x1", np.zeros((1, 1)), rng.split(9), True),
+            ("diag(3, 0)", np.diag([3.0, 0.0]), rng.split(10), True),
+            ("rank 31 of 32", rank31, rng.split(11), True),
             ("spectral seed 8 job 0", gaussian_matrix(64, 64, seed8.split(0)),
              seed8.split(2).split(2), False),
         ]
@@ -251,6 +256,21 @@ class TestSvdViaGram:
             assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS, name
             assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS, name
             assert flags or not deficient, name
+
+    def test_graded_tail_misses_bound_only_when_flagged(self, rng):
+        from fastla.rurv import haar_orthogonal
+
+        n = 64
+        p, q = haar_orthogonal(n, rng.split(2)), haar_orthogonal(n, rng.split(3))
+        sigma = np.concatenate([np.linspace(1.0, 2.0, 32), np.logspace(-3.0, -6.0, 32)])
+        a = p @ np.diag(sigma) @ q.T
+        u, s, v, flags = svd_via_gram(a, rng=rng.split(4))
+        na = norm(a)
+        within = (np.max(np.abs(s - np.sort(sigma)[::-1])) <= 1e4 * EPS * na
+                  and norm(a - u @ np.diag(s) @ v.T) <= 1e4 * EPS * na
+                  and norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS
+                  and norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS)
+        assert within or flags
 
     def test_graded_spectrum(self, rng):
         from helpers import planted_svd
