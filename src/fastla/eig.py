@@ -533,6 +533,8 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
     n = t.shape[0]
     if t.shape[1] != n:
         raise DimensionError("evecr requires a square matrix")
+    if not np.all(np.isfinite(t)):
+        raise NonFiniteInputError("evecr requires finite entries")
     bounds = block_boundaries(t)
     seps: list = []
     methods: list = []

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -19,3 +20,16 @@ def engine(request):
     if request.param == "conv":
         return MmEngine("conv")
     return MmEngine("strassen", cutoff=8)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 20 s instead of letting it hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,3 @@
-import signal
-
 import numpy as np
 import pytest
 
@@ -359,19 +357,6 @@ class TestEvecR:
             counts.append(counter.scalar_mults)
         slope = fit_exponent(sizes, counts)
         assert abs(slope - np.log2(7)) <= 0.15
-
-
-@pytest.fixture
-def alarm():
-    """Fail a test that runs past 20 s instead of letting it hang the suite."""
-    def expire(signum, frame):
-        raise TimeoutError("no result within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
-from fastla.core import EPS, RngStream, gaussian_matrix, norm
+from fastla import sylvester
+from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import SylvesterSingularError, conventional_sylvester, jacobi_svd
+from fastla.eig import evecr
 from fastla.matmul import MmEngine
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
                               block_eigenvalues, kron_operator, min_spectral_gap,
@@ -94,13 +97,34 @@ class TestSepEstimate:
         assert est.value == pytest.approx(1.0, rel=1e-9)
 
     def test_vs_dense_svd_oracle(self, rng):
+        pairs = []
         for t in range(5):
             a = random_triangular(4, rng.split(2 * t), shift=1.0)
             b = random_triangular(4, rng.split(2 * t + 1), shift=1.0)
             b[np.arange(4), np.arange(4)] *= -1.0
+            pairs.append((a, b))
+        # The diagonal halves of a real Schur factor: inverse power iteration
+        # stops at its 500-step cap there, at 0.484032126023 for 0.4840321255.
+        t16 = np.triu(schur(gaussian_matrix(16, 16, RngStream(2).split(0)), output="real")[0], -1)
+        cut = min(block_boundaries(t16)[1:-1], key=lambda x: abs(x - 8))
+        pairs.append((t16[:cut, :cut], t16[cut:, cut:]))
+        for a, b in pairs:
             est = sep_estimate(a, b)
             smin = jacobi_svd(kron_operator(a, b))[1][-1]
-            assert est.value == pytest.approx(smin, rel=1e-8)
+            assert est.value == pytest.approx(smin, rel=1e-12)
+
+    def test_iteration_cap_flagged_as_upper_bound(self, rng, monkeypatch):
+        # Just above the dense limit, two inverse power steps cannot meet
+        # the tolerance; the last iterate still bounds sep from above.
+        assert 33 * 32 > sylvester.DENSE_SEP_LIMIT
+        monkeypatch.setattr(sylvester, "SEP_MAX_ITERS", 2)
+        a = np.triu(gaussian_matrix(33, 33, rng.split(0)), 1) + np.diag(np.linspace(3.0, 4.0, 33))
+        b = np.triu(gaussian_matrix(32, 32, rng.split(1)), 1) - np.diag(np.linspace(3.0, 4.0, 32))
+        est = sep_estimate(a, b)
+        assert est.method == "exact-kronecker"
+        assert est.is_upper_bound
+        smin = np.linalg.svd(kron_operator(a, b), compute_uv=False)[-1]
+        assert est.value >= smin * (1.0 - 1e-12)
 
     def test_fallback_flagged_as_upper_bound(self, rng):
         a = random_triangular(70, rng.split(0), shift=2.0)
@@ -120,6 +144,24 @@ class TestSepEstimate:
                 for sa, sb in [(a[:i, :i], b[:j, :j]), (a[:i, :i], b[j:, j:]),
                                (a[i:, i:], b[:j, :j]), (a[i:, i:], b[j:, j:])]:
                     assert sep_estimate(sa, sb).value >= parent - 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry, where", [("sylr", (0, 3)), ("sylr", (0, 7)),
+                                          ("sep_estimate", (0, 3)), ("sep_estimate", (4, 7)),
+                                          ("evecr", (0, 7))],
+                         ids=["sylr-A", "sylr-C", "sep-A", "sep-B", "evecr"])
+def test_non_finite_input_rejected(alarm, entry, where, bad):
+    # One NaN in A used to come back from sylr as a NaN solution, from
+    # sep_estimate as value=nan and from evecr as SylvesterSingularError.
+    t = np.triu(np.ones((8, 8))) + np.diag(np.arange(8.0))
+    t[where] = bad
+    a, b, c = t[:4, :4], t[4:, 4:], t[:4, 4:]
+    calls = {"sylr": lambda: sylr(a, b, c), "sep_estimate": lambda: sep_estimate(a, b),
+             "evecr": lambda: evecr(t)}
+    with pytest.raises(NonFiniteInputError):
+        calls[entry]()
 
 
 class TestOracleEquivalence:
