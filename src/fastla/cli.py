@@ -212,7 +212,6 @@ def cmd_sylvester(args) -> int:
         "residual": _round(rep.residual),
         "bound": _round(bound),
         "sep": _round(sep.value),
-        "sep_method": sep.method,
         "sep_is_upper_bound": sep.is_upper_bound,
     }, passed), started)
     return 0 if passed else 1
@@ -245,6 +244,7 @@ def cmd_eig(args) -> int:
             v, verr = eig.evecr(t, engine)
             results["evec_bound"] = _round(verr.predicted_evec_bound)
             results["sep_floor"] = _round(verr.s_floor)
+            flags = list(flags) + verr.flags
             if args.out:
                 write_matrix(args.out + ".v.mat", v)
         except (sylvester.NotTriangularError, baseline.SylvesterSingularError) as exc:

@@ -134,7 +134,7 @@ class SchurResult:
 class EigError:
     s_floor: float
     predicted_evec_bound: float
-    sep_methods: list = field(default_factory=list)
+    flags: list = field(default_factory=list)
 
 
 def default_split_tol(n: int) -> float:
@@ -527,7 +527,9 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
     identity on those two columns).
 
     Returns (V, EigError) where the error object carries the sep floor
-    over all splits and the common eigenvector error bound.
+    over all splits and the common eigenvector error bound.  A split whose
+    sep is only an upper bound (``SepEstimate.is_upper_bound``) adds
+    ``sep-upper-bound:lo:hi``, indexed into T, to its flags.
     """
     t = as_matrix(t)
     n = t.shape[0]
@@ -537,7 +539,7 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         raise NonFiniteInputError("evecr requires finite entries")
     bounds = block_boundaries(t)
     seps: list = []
-    methods: list = []
+    flags: list = []
 
     def rec(bi_lo: int, bi_hi: int) -> np.ndarray:
         nblocks = bi_hi - bi_lo
@@ -555,7 +557,8 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         r, _ = sylr(a_blk, b_blk, c_blk, engine, counter, ab, bb, with_report=False)
         est = sep_estimate(a_blk, b_blk, ab, bb)
         seps.append(est.value)
-        methods.append(est.method)
+        if est.is_upper_bound:
+            flags.append(f"sep-upper-bound:{lo}:{hi}")
         va = rec(bi_lo, mid_idx)
         vb = rec(mid_idx, bi_hi)
         rvb = multiply(r, vb, engine, counter)
@@ -576,7 +579,7 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         log_b = EVEC_EXPONENT * math.log10(max(n, 2)) + math.log10(EPS)
         log_b += (2.0 + math.log2(max(n, 2))) * math.log10(max(nt / s_floor, 1.0))
         bound = 1.0 if log_b >= 0.0 else 10.0 ** log_b
-    err = EigError(s_floor=s_floor, predicted_evec_bound=bound, sep_methods=methods)
+    err = EigError(s_floor=s_floor, predicted_evec_bound=bound, flags=flags)
     return vmat, err
 
 

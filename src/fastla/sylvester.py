@@ -10,22 +10,10 @@ update is materialized through the multiplication engine.
 respected: splits only land on block boundaries and the base case solves
 the (at most 4-dimensional) Kronecker system directly.
 
-sep(A,B) = sigma_min(K), K = I (x) A - B^T (x) I, takes one of three
-routes by the size n*m of K:
-
-- n*m <= DENSE_SEP_LIMIT: the smallest singular value of the dense K from
-  one LAPACK SVD (exact to roundoff);
-- n*m <= EXACT_SEP_LIMIT: inverse power iteration on K^-1 K^-T, whose
-  applications of K^-1 and K^-T are themselves triangular Sylvester
-  solves.  Every iterate is an upper bound on sep; one that stops at the
-  iteration cap before meeting its tolerance is flagged as such;
-- beyond that: min |lambda_i(A) - mu_j(B)|, flagged as an upper bound on
-  sep (not an estimate of it).
-
-DENSE_SEP_LIMIT is a measured crossover.  On the diagonal halves of real
-Schur factors the O((nm)^3) SVD is 9x to over 1000x faster than the
-iteration up to n*m = 1024; near n*m = 2048 the iteration can already
-win, and at 4096 the SVD's K alone takes 134 MB.
+sep(A,B) = sigma_min(K), K = I (x) A - B^T (x) I, comes from Lanczos on
+K^-T K^-1, each step two LAPACK trsyl solves: O(nm(n+m)) flops, plus O(k nm)
+for reorthogonalisation at step k.  A run cut at SEP_MAX_ITERS steps returns
+a value flagged as an upper bound on sep.
 """
 
 from __future__ import annotations
@@ -41,9 +29,6 @@ from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
 from . import dd
 
-DENSE_SEP_LIMIT = 1024
-EXACT_SEP_LIMIT = 4096
-SEP_TOL = 1e-10
 SEP_MAX_ITERS = 500
 
 
@@ -67,7 +52,6 @@ class SylvesterProblem:
 @dataclass
 class SepEstimate:
     value: float
-    method: str  # "exact-kronecker" or "diag-gap"
     is_upper_bound: bool = False
 
 
@@ -246,16 +230,20 @@ def _small_solve(k, rhs, counter):
 
 
 def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
-    """sigma_min(I (x) A - B^T (x) I), exact for n*m <= EXACT_SEP_LIMIT.
+    """sigma_min(I (x) A - B^T (x) I) by Lanczos on M = K^-T K^-1.
 
-    Up to DENSE_SEP_LIMIT the value is the last singular value from a LAPACK
-    SVD of the dense Kronecker matrix K.  Above it, inverse power iteration
-    on K^-1 K^-T runs until two iterates agree to SEP_TOL, each application
-    a pair of triangular Sylvester solves; if SEP_MAX_ITERS steps pass first,
-    the last iterate is returned flagged ``is_upper_bound``.  Above
-    EXACT_SEP_LIMIT the value is min |lambda_i(A) - mu_j(B)| ("diag-gap"),
-    which upper-bounds sep.
+    Lanczos with full reorthogonalisation from a seeded Gaussian gives the
+    largest Ritz value theta of M, and sep = theta^(-1/2).  It stops when
+    the Krylov space is exhausted or the Ritz residual is <= 10 eps theta.
+    A run cut at SEP_MAX_ITERS steps is flagged ``is_upper_bound``: theta
+    <= lambda_max(M), so its value is >= sep.  K^-1 and K^-T are trsyl
+    solves; where trsyl finds eigenvalues of A and B within roundoff of
+    each other (info = 1) it perturbs them, and the value is then within
+    roundoff of sigma_min.  Step k costs O(nm(n+m) + k nm) flops.
     """
+    # Imported here: a fresh scipy.linalg.lapack import takes ~0.3 s.
+    from scipy.linalg.lapack import dtrsyl
+
     a = as_matrix(a)
     b = as_matrix(b)
     _require_finite("sep_estimate", a, b)
@@ -264,37 +252,29 @@ def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
     bb = b_blocks if b_blocks is not None else block_boundaries(b)
     _check_pattern(a, ab, "A")
     _check_pattern(b, bb, "B")
-    if n * m > EXACT_SEP_LIMIT:
-        return SepEstimate(value=min_spectral_gap(a, b, ab, bb), method="diag-gap",
-                           is_upper_bound=True)
     if min_spectral_gap(a, b, ab, bb) == 0.0:
-        return SepEstimate(value=0.0, method="exact-kronecker")
-    if n * m <= DENSE_SEP_LIMIT:
-        sigma = np.linalg.svd(kron_operator(a, b), compute_uv=False)[-1]
-        return SepEstimate(value=float(sigma), method="exact-kronecker")
-    ab = np.asarray(ab)
-    bb = np.asarray(bb)
-    rng = RngStream(0x5E9A)
-    x = rng.gaussians(n * m).reshape(n, m)
-    x /= norm(x, FROBENIUS)
-    sigma = None
-    # Each iterate 1/sqrt(||K^-1 K^-T x||) with ||x|| = 1 is >= sigma_min.
-    for _ in range(SEP_MAX_ITERS):
-        # y = K^-T x  then  z = K^-1 y
-        y = _sylr_rec(b, a, x.T.copy(), CONVENTIONAL, None, bb, ab).T
-        z = _sylr_rec(a, b, -y, CONVENTIONAL, None, ab, bb)
-        nz = norm(z, FROBENIUS)
-        if nz == 0.0:
-            break
-        new_sigma = 1.0 / np.sqrt(nz)
-        x = z / nz
-        if sigma is not None and abs(new_sigma - sigma) <= SEP_TOL * new_sigma:
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    else:
-        return SepEstimate(value=float(sigma), method="exact-kronecker", is_upper_bound=True)
-    return SepEstimate(value=float(sigma), method="exact-kronecker")
+        return SepEstimate(value=0.0)
+
+    def solve(x, trans):  # K^-1 x for trans "N", K^-T x for "T"
+        r, scale, _ = dtrsyl(a, b, x.reshape(m, n).T, trans, trans, -1)
+        return (r / scale).T.ravel()
+
+    g = RngStream(0x5E9A).gaussians(n * m)
+    basis = (g / np.linalg.norm(g))[None, :]
+    alphas, betas = [], []
+    while True:
+        w = solve(solve(basis[-1], "N"), "T")
+        alphas.append(float(basis[-1] @ w))
+        for _ in range(2):
+            w -= basis.T @ (basis @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        k = len(alphas)
+        done = beta == 0.0 or k == n * m or beta * abs(s[-1, -1]) <= 10.0 * EPS * ritz[-1]
+        if done or k == SEP_MAX_ITERS:
+            return SepEstimate(value=float(ritz[-1] ** -0.5), is_upper_bound=not done)
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
 
 
 def predicted_sylr_bound(n: int, norm_a: float, norm_b: float, sep: float,

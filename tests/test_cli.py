@@ -89,7 +89,8 @@ class TestDecomposeOutputs:
                     "--c", workdir / "C.mat", "--out", workdir / "syl",
                     "--report", rep]) == 0
         data = json.loads(rep.read_text())
-        assert data["payload"]["results"]["sep_method"] == "exact-kronecker"
+        assert data["payload"]["results"]["sep_is_upper_bound"] is False
+        assert data["payload"]["results"]["sep"] > 0
         r = read_matrix(f"{workdir}/syl.r.mat")
         assert r.shape == (6, 5)
 

@@ -8,9 +8,8 @@ from fastla.baseline import SylvesterSingularError, conventional_sylvester, jaco
 from fastla.eig import evecr
 from fastla.matmul import MmEngine
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
-                              block_eigenvalues, kron_operator, min_spectral_gap,
-                              predicted_sylr_bound, sep_estimate, sylr,
-                              sylr_oracle_equivalence, sylvester_dd)
+                              block_eigenvalues, kron_operator, predicted_sylr_bound,
+                              sep_estimate, sylr, sylr_oracle_equivalence, sylvester_dd)
 
 from helpers import random_triangular
 
@@ -90,7 +89,6 @@ class TestSepEstimate:
     def test_scalar(self):
         est = sep_estimate(np.array([[3.0]]), np.array([[1.0]]))
         assert est.value == pytest.approx(2.0, rel=1e-12)
-        assert est.method == "exact-kronecker"
 
     def test_diag_case(self):
         est = sep_estimate(np.diag([1.0, 2.0]), np.array([[0.0]]))
@@ -114,26 +112,39 @@ class TestSepEstimate:
             assert est.value == pytest.approx(smin, rel=1e-12)
 
     def test_iteration_cap_flagged_as_upper_bound(self, rng, monkeypatch):
-        # Just above the dense limit, two inverse power steps cannot meet
-        # the tolerance; the last iterate still bounds sep from above.
-        assert 33 * 32 > sylvester.DENSE_SEP_LIMIT
+        # Two Lanczos steps cannot converge here; the Ritz value still
+        # bounds sep from above.
         monkeypatch.setattr(sylvester, "SEP_MAX_ITERS", 2)
         a = np.triu(gaussian_matrix(33, 33, rng.split(0)), 1) + np.diag(np.linspace(3.0, 4.0, 33))
         b = np.triu(gaussian_matrix(32, 32, rng.split(1)), 1) - np.diag(np.linspace(3.0, 4.0, 32))
         est = sep_estimate(a, b)
-        assert est.method == "exact-kronecker"
         assert est.is_upper_bound
         smin = np.linalg.svd(kron_operator(a, b), compute_uv=False)[-1]
         assert est.value >= smin * (1.0 - 1e-12)
 
-    def test_fallback_flagged_as_upper_bound(self, rng):
-        a = random_triangular(70, rng.split(0), shift=2.0)
-        b = -random_triangular(70, rng.split(1), shift=2.0).T.copy()
-        b = np.triu(b.T * 0) - 3.0 * np.eye(70)
+    def test_uncapped_matches_dense_svd(self, rng):
+        a = np.triu(gaussian_matrix(33, 33, rng.split(0)), 1) + np.diag(np.linspace(3.0, 4.0, 33))
+        b = np.triu(gaussian_matrix(32, 32, rng.split(1)), 1) - np.diag(np.linspace(3.0, 4.0, 32))
         est = sep_estimate(a, b)
-        assert est.method == "diag-gap"
-        assert est.is_upper_bound
-        assert est.value == pytest.approx(min_spectral_gap(a, b))
+        assert not est.is_upper_bound
+        smin = np.linalg.svd(kron_operator(a, b), compute_uv=False)[-1]
+        assert est.value == pytest.approx(smin, rel=1e-12)
+
+    def test_near_singular_large_pair(self, rng):
+        # n*m = 4900 and sep ~ 1e-12.  K = I (x) (A + 3I), so sep = sigma_min(A + 3I).
+        a = random_triangular(70, rng.split(0), shift=2.0)
+        b = -3.0 * np.eye(70)
+        est = sep_estimate(a, b)
+        assert not est.is_upper_bound
+        s = np.linalg.svd(a + 3.0 * np.eye(70), compute_uv=False)
+        assert abs(est.value - s[-1]) <= 10.0 * EPS * s[0]
+
+    def test_evecr_flags_capped_split(self, monkeypatch):
+        # A capped sep may overestimate, and s_floor with it: evecr must say so.
+        monkeypatch.setattr(sylvester, "SEP_MAX_ITERS", 2)
+        t = np.triu(schur(gaussian_matrix(16, 16, RngStream(2).split(0)), output="real")[0], -1)
+        _, err = evecr(t)
+        assert "sep-upper-bound:0:16" in err.flags
 
     def test_subproblem_monotonicity_exhaustive(self, rng):
         # sep(A_ii, B_jj) >= sep(A, B) for every 2x2 split of an 8x8 pair.
