@@ -21,9 +21,8 @@ from .lu import lur, solve_linear, solve_triangular
 from .inverse import gen_inv, spd_inv, solve_via_inverse, theorem1_embedding, tri_inv
 from .rurv import exact_rank_probe, f_statistic_experiment, haar_orthogonal, rurv
 from .sylvester import sep_estimate, sylr
-from .eig import (SignIterConfig, SplitRegion, evecr, gershgorin_rectangle,
-                  schur_dandc, sign_function, split_once, svd_via_gram,
-                  symmetric_eig)
+from .eig import (SplitRegion, evecr, gershgorin_rectangle, schur_dandc, sign_function,
+                  split_once, svd_via_gram, symmetric_eig)
 from .results import StabilityReport, WYFactor
 
 __version__ = "0.1.0"

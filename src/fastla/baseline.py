@@ -403,17 +403,18 @@ def block_qr(a, cfg: BlockConfig, engine: MmEngine, counter=None):
 # Jacobi oracles (desk scale)
 
 
-def jacobi_svd(a, max_sweeps=40, tol=1e-14):
+def jacobi_svd(a):
     """One-sided Jacobi SVD: A = U diag(s) V^T with s descending.
 
-    The oracle route for singular values in reports and tests (n <= 256);
-    columns of exactly zero norm produce zero columns in U.
+    The oracle route for singular values in reports and tests (n <= 256).
+    Up to 40 sweeps, each rotating every column pair whose cosine exceeds
+    1e-14; columns of exactly zero norm produce zero columns in U.
     """
     a = as_matrix(a)
     n, m = a.shape
     g = a.copy()
     v = np.eye(m)
-    for _ in range(max_sweeps):
+    for _ in range(40):
         rotated = False
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -422,7 +423,7 @@ def jacobi_svd(a, max_sweeps=40, tol=1e-14):
                 alpha = float(gp @ gp)
                 beta = float(gq @ gq)
                 gamma = float(gp @ gq)
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
+                if abs(gamma) <= 1e-14 * np.sqrt(alpha * beta):
                     continue
                 rotated = True
                 zeta = (beta - alpha) / (2.0 * gamma)
@@ -451,21 +452,25 @@ def jacobi_svd(a, max_sweeps=40, tol=1e-14):
     return u, sigma, v
 
 
-def jacobi_eig(s, max_sweeps=60, tol=1e-15):
-    """Cyclic two-sided Jacobi for symmetric matrices: S = Q diag(lam) Q^T."""
+def jacobi_eig(s):
+    """Cyclic two-sided Jacobi for symmetric matrices: S = Q diag(lam) Q^T.
+
+    Up to 60 sweeps, stopping once the off-diagonal norm is within
+    1e-15 n max|S_ij|; entries below 1e-15 max|S_ij| are not rotated.
+    """
     s = as_matrix(s)
     n = s.shape[0]
     a = s.copy()
     q = np.eye(n)
     scale = float(np.max(np.abs(a))) or 1.0
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale * n:
+        if off <= 1e-15 * scale * n:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
                 apr = a[p, r]
-                if abs(apr) <= tol * scale:
+                if abs(apr) <= 1e-15 * scale:
                     continue
                 theta = (a[r, r] - a[p, p]) / (2.0 * apr)
                 t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -30,19 +29,9 @@ from .matmul import MmEngine, OpCounter, fit_exponent, multiply
 
 SCHEMA_VERSION = 1
 
-_ENGINE_NAMES = {"conv": "conv", "strassen": "strassen", "blocked": "blocked"}
-
-
-def worker_count() -> int:
-    """Parallel-trial cap from FASTLA_THREADS (default 1, sequential)."""
-    try:
-        return max(1, int(os.environ.get("FASTLA_THREADS", "1")))
-    except ValueError:
-        return 1
-
 
 def _engine_from(args) -> MmEngine:
-    return MmEngine(_ENGINE_NAMES[args.engine], cutoff=args.cutoff)
+    return MmEngine(args.engine, cutoff=args.cutoff)
 
 
 def _round(x: float) -> float:
@@ -119,7 +108,6 @@ def cmd_decompose_qr(args) -> int:
         "residual": _round(res.report.residual),
         "orth_defect": _round(res.report.orth_defect),
         "bound": _round(bound),
-        "norm_kind": res.report.norm_kind,
     }, passed), started)
     return 0 if passed else 1
 
@@ -317,27 +305,15 @@ def _try_fit(sizes, rows):
         return None
 
 
-def bench_qrr(sizes, engine, seed) -> dict:
+def bench_factor(factor, sizes, engine, seed) -> dict:
+    """Op tallies of ``factor`` (``qr.qrr`` or ``lu.lur``) on n-by-n Gaussians."""
     rows = []
     rng = RngStream(seed)
     for i, n in enumerate(sizes):
         a = gaussian_matrix(n, n, rng.split(i))
         counter = OpCounter()
         t0 = time.time()
-        qr.qrr(a, engine, counter, with_report=False)
-        rows.append({"n": n, "mults": counter.scalar_mults, "adds": counter.scalar_adds,
-                     "seconds": time.time() - t0})
-    return {"rows": rows, "exponent": _try_fit(sizes, rows)}
-
-
-def bench_lur(sizes, engine, seed) -> dict:
-    rows = []
-    rng = RngStream(seed)
-    for i, n in enumerate(sizes):
-        a = gaussian_matrix(n, n, rng.split(i))
-        counter = OpCounter()
-        t0 = time.time()
-        lu.lur(a, engine, counter, with_report=False)
+        factor(a, engine, counter, with_report=False)
         rows.append({"n": n, "mults": counter.scalar_mults, "adds": counter.scalar_adds,
                      "seconds": time.time() - t0})
     return {"rows": rows, "exponent": _try_fit(sizes, rows)}
@@ -386,9 +362,9 @@ def cmd_bench(args) -> int:
     if args.target == "matmul":
         data = bench_matmul(sizes, engine, args.seed)
     elif args.target == "qrr":
-        data = bench_qrr(sizes, engine, args.seed)
+        data = bench_factor(qr.qrr, sizes, engine, args.seed)
     elif args.target == "lur":
-        data = bench_lur(sizes, engine, args.seed)
+        data = bench_factor(lu.lur, sizes, engine, args.seed)
     elif args.target == "block-lu":
         bs = _parse_sizes(args.blocks) if args.blocks else None
         data = bench_block_lu(sizes, engine, args.gamma, args.seed, bs)
@@ -677,7 +653,6 @@ def cmd_experiment(args) -> int:
         "n": summary.n, "r": summary.r, "trials": summary.trials,
         "prob_below": {str(k): _round(v) for k, v in summary.prob_below.items()},
         "quantiles": {str(k): _round(v) for k, v in summary.quantiles.items()},
-        "workers": worker_count(),
     }, True), started)
     return 0
 
@@ -692,9 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=True):
-        p.add_argument("--engine", choices=list(_ENGINE_NAMES), default="conv")
+        p.add_argument("--engine", choices=list(matmul.ENGINE_KINDS), default="conv")
         p.add_argument("--cutoff", type=int, default=64)
-        p.add_argument("--precision", choices=[WORKING, EXTENDED], default=WORKING)
         p.add_argument("--out", default=None)
         p.add_argument("--report", default=None)
         if seed:
@@ -710,22 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     common(p)
     p.set_defaults(func=cmd_decompose_lu)
-    for alias, fn in [("invert", cmd_invert), ("rurv", cmd_rurv), ("eig", cmd_eig),
-                      ("svd", cmd_svd)]:
-        p = dec_sub.add_parser(alias)
-        p.add_argument("--in", dest="infile", required=True)
-        if alias == "invert":
-            p.add_argument("--kind", choices=["tri", "spd", "general"], default="general")
-        if alias == "eig":
-            p.add_argument("--symmetric", action="store_true")
-            p.add_argument("--vectors", action="store_true")
-            p.add_argument("--disks", action="store_true")
-        common(p)
-        p.set_defaults(func=fn)
 
     p = sub.add_parser("invert", help="recursive inversion")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--kind", choices=["tri", "spd", "general"], default="general")
+    p.add_argument("--precision", choices=[WORKING, EXTENDED], default=WORKING)
     common(p)
     p.set_defaults(func=cmd_invert)
 

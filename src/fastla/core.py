@@ -55,6 +55,13 @@ def as_matrix(a):
     return m
 
 
+def require_finite(name, *mats):
+    """Raise NonFiniteInputError unless every entry of every operand is finite."""
+    for x in mats:
+        if not np.isfinite(x).all():
+            raise NonFiniteInputError(f"{name} requires finite entries")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream with splittable substreams.

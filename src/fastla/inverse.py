@@ -41,7 +41,8 @@ import numpy as np
 
 from . import dd
 from .baseline import SingularMatrixError
-from .core import EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix, norm
+from .core import (EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix,
+                   norm, require_finite)
 from .matmul import CONVENTIONAL, MmEngine, measure_mm_error, multiply
 
 # Calibration constants multiplying the paper-recurrence bounds; the
@@ -75,11 +76,11 @@ class InvReport:
     predicted_bound: float
 
 
-def engine_mu_constant(engine: MmEngine, n: int = 32) -> float:
-    """Measured error-model constant of the engine (cached, fixed seed)."""
-    key = (engine.kind, engine.cutoff, n)
+def engine_mu_constant(engine: MmEngine) -> float:
+    """Measured error-model constant of the engine at n = 32 (cached, fixed seed)."""
+    key = (engine.kind, engine.cutoff)
     if key not in _mu_cache:
-        model = measure_mm_error(max(4, min(n, 32)), engine, trials=2, rng=RngStream(0xF457))
+        model = measure_mm_error(32, engine, trials=2, rng=RngStream(0xF457))
         _mu_cache[key] = max(1.0, model.observed_constant)
     return _mu_cache[key]
 
@@ -157,6 +158,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     n = t.shape[0]
     if t.shape[1] != n:
         raise DimensionError("tri_inv requires a square matrix")
+    require_finite("tri_inv", t)
     if np.any(np.diag(t) == 0.0):
         raise SingularMatrixError("zero diagonal entry in triangular matrix")
     x = _round(_tri_inv_rec(_lift(t, precision), engine, counter))
@@ -233,6 +235,7 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     n = h.shape[0]
     if h.shape[1] != n:
         raise DimensionError("spd_inv requires a square matrix")
+    require_finite("spd_inv", h)
     nh = norm(h)
     if float(np.linalg.norm(h - h.T)) > _SYMMETRY_TOL * max(nh, 1e-300):
         raise AsymmetricMatrixError("matrix is not symmetric within 1e-12 relative")
@@ -315,6 +318,7 @@ def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("gen_inv requires a square matrix")
+    require_finite("gen_inv", a)
     al = _lift(a, precision)
     mi = _symmetrize(_gram_inverse(al, engine, counter))
     x = _round(multiply(al.T, mi, engine, counter))
@@ -330,6 +334,7 @@ def solve_via_inverse(a, b, engine: MmEngine = CONVENTIONAL, precision: str = WO
     """Solve A x = b as x = A^T ((A A^T)^-1 b)."""
     a = as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
+    require_finite("solve_via_inverse", a, b)
     rhs = b[:, None] if b.ndim == 1 else b
     al = _lift(a, precision)
     t = multiply(_gram_inverse(al, engine, counter), _lift(rhs, precision), engine, counter)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import SingularMatrixError, _gepp_panel, solve_triangular
-from .core import FROBENIUS, DimensionError, NonFiniteInputError, as_matrix, norm
+from .core import FROBENIUS, DimensionError, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
 
@@ -40,14 +40,15 @@ class LuResult:
 
 
 def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
-        panel_cutoff: int = DEFAULT_PANEL_CUTOFF, with_report: bool = True) -> LuResult:
+        with_report: bool = True) -> LuResult:
     """Recursive LU of an n-by-m matrix (n >= m): a[perm] = L U."""
     a = as_matrix(a)
     n, m = a.shape
     if n < m:
         raise DimensionError("lur requires rows >= cols")
+    require_finite("lur", a)
     work = a.copy()
-    perm, l_cond, zero_piv = _lur_rec(work, engine, counter, max(1, panel_cutoff))
+    perm, l_cond, zero_piv = _lur_rec(work, engine, counter)
     l = np.tril(work[:, :m], -1)
     l[np.arange(m), np.arange(m)] = 1.0
     u = np.triu(work[:m, :m])
@@ -59,20 +60,20 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
     if with_report:
         na = norm(a, FROBENIUS)
         resid = norm(a[perm] - l @ u, FROBENIUS) / na if na != 0.0 else 0.0
-        report = StabilityReport(residual=resid, norm_kind=FROBENIUS, flags=flags)
+        report = StabilityReport(residual=resid, flags=flags)
     else:
         report = StabilityReport(0.0, flags=flags)
     return LuResult(p=perm, l=l, u=u, report=report, l_cond=l_cond, zero_pivot=zero_piv)
 
 
-def _lur_rec(a, engine, counter, panel_cutoff):
+def _lur_rec(a, engine, counter):
     """Factorize the view in place (compact storage); returns (perm, l_cond, zero_pivot)."""
     n, m = a.shape
-    if m <= panel_cutoff or m == 1:
+    if m <= DEFAULT_PANEL_CUTOFF:
         perm, zero_piv = _gepp_panel(a, counter)
         return perm, 1.0, zero_piv
     m2 = m // 2
-    perm1, cond1, zp1 = _lur_rec(a[:, :m2], engine, counter, panel_cutoff)
+    perm1, cond1, zp1 = _lur_rec(a[:, :m2], engine, counter)
     a[:, m2:] = a[:, m2:][perm1]
     l11 = np.tril(a[:m2, :m2], -1) + np.eye(m2)
     cond_here = _unit_lower_cond1(l11, engine)
@@ -82,7 +83,7 @@ def _lur_rec(a, engine, counter, panel_cutoff):
     a[m2:, m2:] -= upd
     if counter is not None:
         counter.count(adds=(n - m2) * (m - m2))
-    perm2, cond2, zp2 = _lur_rec(a[m2:, m2:], engine, counter, panel_cutoff)
+    perm2, cond2, zp2 = _lur_rec(a[m2:, m2:], engine, counter)
     a[m2:, :m2] = a[m2:, :m2][perm2]
     perm = np.concatenate([perm1[:m2], perm1[m2:][perm2]])
     return perm, max(cond1, cond_here, cond2), zp1 or zp2
@@ -116,8 +117,7 @@ def solve_linear(a, b, engine: MmEngine = CONVENTIONAL, counter=None):
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("solve_linear requires a square matrix")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFiniteInputError("solve_linear input holds NaN or inf")
+    require_finite("solve_linear", a, b)
     res = lur(a, engine, counter, with_report=False)
     if res.zero_pivot or np.any(np.diag(res.u) == 0.0):
         raise SingularMatrixError("matrix is exactly singular")

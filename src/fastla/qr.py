@@ -8,8 +8,8 @@ recurses on the trailing block, and merges the two WY factors:
         = I - [W_L - [0; W_R (Y_R W_L_low)], [0; W_R]] [Y_L; [0, Y_R]]
 
 The base case is the conventional Householder panel (reflector sign
-R_jj = -sign(a_jj) ||a_j||); by default recursion switches to the panel
-below 8 columns, with ``panel_cutoff=1`` descending to single columns.
+R_jj = -sign(a_jj) ||a_j||) on blocks of at most ``DEFAULT_PANEL_CUTOFF`` = 8
+columns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import panel_qr_wy, solve_triangular
-from .core import EPS, FROBENIUS, DimensionError, NonFiniteInputError, as_matrix, norm
+from .core import FROBENIUS, DimensionError, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport, WYFactor
 
@@ -38,14 +38,15 @@ class QrResult:
 
 
 def qrr(a, engine: MmEngine = CONVENTIONAL, counter=None,
-        panel_cutoff: int = DEFAULT_PANEL_CUTOFF, with_report: bool = True) -> QrResult:
+        with_report: bool = True) -> QrResult:
     """Recursive QR of an n-by-m matrix (n >= m): A = Q [R; 0]."""
     a = as_matrix(a)
     n, m = a.shape
     if n < m:
         raise DimensionError("qrr requires rows >= cols")
+    require_finite("qrr", a)
     work = a.copy()
-    w, y = _qrr_rec(work, engine, counter, max(1, panel_cutoff))
+    w, y = _qrr_rec(work, engine, counter)
     r = np.triu(work[:m, :])
     q = WYFactor(w, y)
     report = _qr_report(a, q, r, engine) if with_report else StabilityReport(0.0)
@@ -65,20 +66,20 @@ def positive_q(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarray:
     return q * signs[None, :]
 
 
-def _qrr_rec(a, engine, counter, panel_cutoff):
+def _qrr_rec(a, engine, counter):
     """Factorize the view ``a`` in place; returns (W, Y)."""
     n, m = a.shape
-    if m <= panel_cutoff or m == 1 or n == 1:
+    if m <= DEFAULT_PANEL_CUTOFF or n == 1:
         w, y, _ = panel_qr_wy(a, counter)
         return w, y
     m2 = m // 2
-    wl, yl = _qrr_rec(a[:, :m2], engine, counter, panel_cutoff)
+    wl, yl = _qrr_rec(a[:, :m2], engine, counter)
     # Apply Q_L^T to the right half: A_R - W_L (Y_L A_R).
     t = multiply(yl, a[:, m2:], engine, counter)
     a[:, m2:] -= multiply(wl, t, engine, counter)
     if counter is not None:
         counter.count(adds=n * (m - m2))
-    wr, yr = _qrr_rec(a[m2:, m2:], engine, counter, panel_cutoff)
+    wr, yr = _qrr_rec(a[m2:, m2:], engine, counter)
     # Merge: X = W_L - [0; W_R (Y_R W_L(m2:, :))].
     t = multiply(yr, wl[m2:, :], engine, counter)
     corr = multiply(wr, t, engine, counter)
@@ -104,7 +105,7 @@ def _qr_report(a, q, r, engine):
     residual = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
     qt = np.eye(n) - q.w @ q.y
     orth = norm(qt.T @ qt - np.eye(n), FROBENIUS)
-    return StabilityReport(residual=residual, orth_defect=orth, norm_kind=FROBENIUS)
+    return StabilityReport(residual=residual, orth_defect=orth)
 
 
 def apply_qt(q: WYFactor, b, engine: MmEngine = CONVENTIONAL, counter=None):
@@ -130,8 +131,7 @@ def solve_ls(a, b, engine: MmEngine = CONVENTIONAL, counter=None):
     """Least squares min ||A x - b||_2 via x = R^{-1} (Q^T b)(1:m)."""
     a = as_matrix(a)
     b = np.asarray(b, dtype=np.float64)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise NonFiniteInputError("solve_ls input holds NaN or inf")
+    require_finite("solve_ls", a, b)
     rhs = b[:, None] if b.ndim == 1 else b
     res = qrr(a, engine, counter, with_report=False)
     _check_full_rank(res.r)

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FROBENIUS
-
 
 @dataclass
 class WYFactor:
@@ -63,6 +61,5 @@ class StabilityReport:
 
     residual: float
     orth_defect: float = 0.0
-    norm_kind: str = FROBENIUS
     cond_estimate: float | None = None
     flags: list = field(default_factory=list)

@@ -7,8 +7,11 @@ sigma_min(R(1:r,1:r)) tracks sigma_r of A and the trailing block tracks
 sigma_{r+1}; the quality is governed by f, the smallest singular value of
 the leading r-by-r corner of a Haar orthogonal matrix.
 
-Singular values inside diagnostics come from the one-sided Jacobi oracle
-(desk scale); the algorithms themselves never consume them.
+Singular values inside the rank diagnostics (``exact_rank_probe``,
+``rank_reveal_report``) come from the one-sided Jacobi oracle (desk scale);
+the algorithms themselves never consume them.  ``f_statistic_experiment``
+reads sigma_min of each Haar corner from LAPACK's SVD, since it samples
+thousands of them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import jacobi_svd
-from .core import EPS, FROBENIUS, DimensionError, RngStream, as_matrix, gaussian_matrix, norm
+from .core import (EPS, FROBENIUS, DimensionError, RngStream, as_matrix, gaussian_matrix,
+                   norm, require_finite)
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .qr import positive_q, qrr
 from .results import StabilityReport, WYFactor
@@ -71,6 +75,7 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("rurv requires a square matrix")
+    require_finite("rurv", a)
     if rng is None:
         rng = RngStream(0)
     v = haar_orthogonal(n, rng, engine)
@@ -82,7 +87,7 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
         na = norm(a, FROBENIUS)
         resid = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
         orth = norm(v.T @ v - np.eye(n), FROBENIUS)
-        result.report = StabilityReport(residual=resid, orth_defect=orth, norm_kind=FROBENIUS)
+        result.report = StabilityReport(residual=resid, orth_defect=orth)
     return result
 
 
@@ -131,11 +136,10 @@ def rank_reveal_report(res: UrvResult, r: int, sigma_true=None, f: float | None 
     )
 
 
-def f_statistic_experiment(n: int, r: int, trials: int, rng: RngStream,
-                           exponents=(0.5, 1.0)) -> FStatSummary:
+def f_statistic_experiment(n: int, r: int, trials: int, rng: RngStream) -> FStatSummary:
     """Monte Carlo sample of f = sigma_min(V(1:r,1:r)) over Haar V.
 
-    Reports the empirical Pr[f < 1/(r^(a+1) sqrt(n))] for each exponent a.
+    Reports the empirical Pr[f < 1/(r^(a+1) sqrt(n))] for a = 0.5 and 1.
     """
     if not (1 <= r < n):
         raise DimensionError("need 1 <= r < n")
@@ -144,9 +148,9 @@ def f_statistic_experiment(n: int, r: int, trials: int, rng: RngStream,
     samples = np.empty(trials)
     for t in range(trials):
         v = haar_orthogonal(n, rng.split(t))
-        samples[t] = jacobi_svd(v[:r, :r])[1][-1]
+        samples[t] = np.linalg.svd(v[:r, :r], compute_uv=False)[-1]
     prob = {}
-    for a in exponents:
+    for a in (0.5, 1.0):
         threshold = 1.0 / (r ** (a + 1.0) * np.sqrt(n))
         prob[a] = float(np.mean(samples < threshold))
     qs = {q: float(np.quantile(samples, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}

@@ -18,18 +18,20 @@ a value flagged as an upper bound on sep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import SylvesterSingularError, conventional_sylvester
-from .core import (EPS, FROBENIUS, DimensionError, NonFiniteInputError, RngStream,
-                   as_matrix, norm)
+from .core import EPS, FROBENIUS, DimensionError, RngStream, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
 from . import dd
 
 SEP_MAX_ITERS = 500
+# Calibration constant multiplying the sylr error recurrence.
+SYLR_BOUND_CONST = 10.0
 
 
 class NotTriangularError(ValueError):
@@ -100,11 +102,6 @@ def _check_pattern(t, bounds, name):
         raise NotTriangularError(f"{name} is not upper triangular outside its blocks")
 
 
-def _require_finite(name, *mats):
-    if not all(np.all(np.isfinite(x)) for x in mats):
-        raise NonFiniteInputError(f"{name} requires finite entries")
-
-
 def min_spectral_gap(a, b, a_blocks=None, b_blocks=None) -> float:
     """min |lambda_i(A) - mu_j(B)| over the block spectra."""
     la = block_eigenvalues(a, a_blocks)
@@ -121,7 +118,7 @@ def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None,
     n, m = c.shape
     if a.shape != (n, n) or b.shape != (m, m):
         raise DimensionError("sylr shape mismatch")
-    _require_finite("sylr", a, b, c)
+    require_finite("sylr", a, b, c)
     ab = a_blocks if a_blocks is not None else block_boundaries(a)
     bb = b_blocks if b_blocks is not None else block_boundaries(b)
     _check_pattern(a, ab, "A")
@@ -133,8 +130,7 @@ def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None,
         return r, StabilityReport(0.0)
     resid = norm(a @ r - r @ b + c, FROBENIUS)
     denom = (norm(a, FROBENIUS) + norm(b, FROBENIUS)) * norm(r, FROBENIUS)
-    report = StabilityReport(residual=resid / denom if denom > 0.0 else resid,
-                             norm_kind=FROBENIUS)
+    report = StabilityReport(residual=resid / denom if denom > 0.0 else resid)
     return r, report
 
 
@@ -246,7 +242,7 @@ def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
 
     a = as_matrix(a)
     b = as_matrix(b)
-    _require_finite("sep_estimate", a, b)
+    require_finite("sep_estimate", a, b)
     n, m = a.shape[0], b.shape[0]
     ab = a_blocks if a_blocks is not None else block_boundaries(a)
     bb = b_blocks if b_blocks is not None else block_boundaries(b)
@@ -278,18 +274,16 @@ def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
 
 
 def predicted_sylr_bound(n: int, norm_a: float, norm_b: float, sep: float,
-                         mu_const: float = 1.0, calib: float = 10.0) -> float:
+                         mu_const: float = 1.0) -> float:
     """Relative forward-error bound from the recursive solver's recurrence.
 
     err(n)/||R|| = O(n^(1+log2 3) mu(n/2) eps ((||A||+||B||)/sep)^(1+log2 n)),
     evaluated in logs and clamped at 1 (above 1, no accuracy is promised).
     """
-    import math
-
     if sep <= 0.0:
         return 1.0
     n = max(n, 2)
-    log_b = math.log10(calib * mu_const * EPS)
+    log_b = math.log10(SYLR_BOUND_CONST * mu_const * EPS)
     log_b += (1.0 + math.log2(3.0)) * math.log10(n)
     log_b += (1.0 + math.log2(n)) * math.log10(max((norm_a + norm_b) / sep, 1.0))
     return 1.0 if log_b >= 0.0 else 10.0 ** log_b

@@ -12,16 +12,15 @@ from fastla import dd
 from fastla.core import EPS, EXTENDED, RngStream, gaussian_matrix, norm
 from fastla.baseline import (BlockConfig, block_lu, gepp_lu, jacobi_eig, jacobi_svd,
                              pivot_growth)
-from fastla.cli import (bench_lur, bench_matmul, bench_qrr, fit_block_cost_model,
-                        main, payload_bytes)
-from fastla.eig import (default_split_tol, eigenvalues_of_schur, evecr,
-                        norm_a21_profile, schur_dandc, svd_via_gram, symmetric_eig)
+from fastla.cli import bench_factor, bench_matmul, fit_block_cost_model, main, payload_bytes
+from fastla.eig import (default_split_tol, evecr, norm_a21_profile, schur_dandc, svd_via_gram,
+                        symmetric_eig)
 from fastla.inverse import spd_inv, theorem1_embedding, tri_inv
 from fastla.lu import lur
 from fastla.matmul import MmEngine, OpCounter, fit_exponent, multiply
 from fastla.qr import columnwise_scale_wrap, qrr
 from fastla.rurv import exact_rank_probe, f_statistic_experiment, rurv
-from fastla.sylvester import (SylvesterProblem, sep_estimate, sylr,
+from fastla.sylvester import (SylvesterProblem, block_eigenvalues, sep_estimate, sylr,
                               sylr_oracle_equivalence, sylvester_dd)
 
 from helpers import (dd_residual_lu, match_eigs, planted_nonsymmetric, planted_svd,
@@ -63,10 +62,10 @@ def test_criterion_02_recursive_cost_inheritance():
     sizes = [64, 128, 256, 512]
     fast = MmEngine("strassen", cutoff=1)
     results = {}
-    results["qrr/strassen"] = bench_qrr(sizes, fast, seed=3)["exponent"]
-    results["qrr/conv"] = bench_qrr(sizes, CONV, seed=3)["exponent"]
-    results["lur/strassen"] = bench_lur(sizes, fast, seed=3)["exponent"]
-    results["lur/conv"] = bench_lur(sizes, CONV, seed=3)["exponent"]
+    results["qrr/strassen"] = bench_factor(qrr, sizes, fast, seed=3)["exponent"]
+    results["qrr/conv"] = bench_factor(qrr, sizes, CONV, seed=3)["exponent"]
+    results["lur/strassen"] = bench_factor(lur, sizes, fast, seed=3)["exponent"]
+    results["lur/conv"] = bench_factor(lur, sizes, CONV, seed=3)["exponent"]
     elapsed = time.time() - t0
     ok = (abs(results["qrr/strassen"] - LOG2_7) <= 0.15
           and abs(results["lur/strassen"] - LOG2_7) <= 0.15
@@ -270,8 +269,8 @@ def test_criterion_10_f_statistic():
 
 def test_criterion_11_sylvester():
     rng = RngStream(13)
-    # Exhaustive (n, m) grid up to 16: stat normalized by a conservative
-    # sep upper bound (diag gap) stays within the 1e3 band.
+    # Exhaustive (n, m) grid up to 16: stat normalized by sep_estimate
+    # (exact to roundoff) stays within the 1e3 band.
     problems = []
     for n in range(1, 17):
         for m in range(1, 17):
@@ -346,7 +345,7 @@ def test_criterion_12_schur_divide_and_conquer():
     b, lam_true = planted_nonsymmetric(dims, eigs, rng.split(2), bump_scale=0.3)
     res_b = schur_dandc(b, rng=rng.split(3))
     ok &= not res_b.flags
-    err_b = match_eigs(eigenvalues_of_schur(res_b.t), lam_true)
+    err_b = match_eigs(block_eigenvalues(res_b.t), lam_true)
     ok &= err_b <= 1e4 * EPS * norm(b)
     ok &= norm(b - res_b.q @ res_b.t @ res_b.q.T) <= 10 * max(res_b.n_splits, 1) * \
         default_split_tol(dims) * norm(b)

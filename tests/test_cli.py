@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fastla.cli import main, payload_bytes, worker_count
+from fastla.cli import main, payload_bytes
 from fastla.core import RngStream, gaussian_matrix, read_matrix, write_matrix
 
 from helpers import random_triangular
@@ -44,6 +44,13 @@ class TestExitCodes:
     def test_bad_flags_exit2(self, workdir):
         with pytest.raises(SystemExit) as exc:
             run(["decompose", "qr", "--in", workdir / "I4.mat", "--engine", "magic"])
+        assert exc.value.code == 2
+
+    def test_precision_only_on_invert(self, workdir):
+        # Only inversion has an extended-precision route, so only `invert`
+        # takes --precision; elsewhere the flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            run(["rurv", "--in", workdir / "A.mat", "--precision", "extended"])
         assert exc.value.code == 2
 
     def test_lu_singular_exit1_flagged(self, workdir):
@@ -114,14 +121,6 @@ class TestDecomposeOutputs:
         assert run(["svd", "--in", workdir / "A.mat", "--seed", 11,
                     "--report", workdir / "svd.json"]) == 0
 
-    def test_decompose_aliases(self, workdir):
-        assert run(["decompose", "invert", "--in", workdir / "A.mat",
-                    "--report", workdir / "ali.json"]) == 0
-        assert run(["decompose", "rurv", "--in", workdir / "A.mat",
-                    "--report", workdir / "alr.json"]) == 0
-        assert run(["decompose", "svd", "--in", workdir / "A.mat",
-                    "--report", workdir / "als.json"]) == 0
-
 
 class TestBench:
     def test_matmul_strassen_exponent(self, workdir):
@@ -185,11 +184,3 @@ class TestExperiment:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "trial,f"
         assert len(lines) == 21
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("FASTLA_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("FASTLA_THREADS", "bogus")
-        assert worker_count() == 1
-        monkeypatch.delenv("FASTLA_THREADS")
-        assert worker_count() == 1
