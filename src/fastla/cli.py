@@ -258,14 +258,16 @@ def cmd_svd(args) -> int:
     u, sigma, v, flags = eig.svd_via_gram(a, engine, RngStream(args.seed))
     n = a.shape[0]
     resid = norm(a - u @ np.diag(sigma) @ v.T, FROBENIUS) / max(norm(a, FROBENIUS), 1e-300)
-    bound = 1e4 * n * EPS * 10
-    passed = resid <= bound
+    orth = max(norm(x.T @ x - np.eye(n), FROBENIUS) for x in (u, v))
+    bound = 1e4 * EPS
+    passed = resid <= bound and orth <= 1e3 * n * n * EPS and not flags
     if args.out:
         write_matrix(args.out + ".u.mat", u)
         write_matrix(args.out + ".s.mat", sigma[None, :])
         write_matrix(args.out + ".v.mat", v)
     _emit(args, _base_payload(args, {
         "residual": _round(resid),
+        "orth_defect": _round(orth),
         "bound": _round(bound),
         "sigma_max": _round(float(sigma[0])),
         "sigma_min": _round(float(sigma[-1])),
@@ -306,7 +308,8 @@ def _try_fit(sizes, rows):
 
 
 def bench_factor(factor, sizes, engine, seed) -> dict:
-    """Op tallies of ``factor`` (``qr.qrr`` or ``lu.lur``) on n-by-n Gaussians."""
+    """Op tallies of ``factor`` (``qr.qrr``, ``lu.lur`` or ``svd_factor``) on
+    n-by-n Gaussians."""
     rows = []
     rng = RngStream(seed)
     for i, n in enumerate(sizes):
@@ -317,6 +320,11 @@ def bench_factor(factor, sizes, engine, seed) -> dict:
         rows.append({"n": n, "mults": counter.scalar_mults, "adds": counter.scalar_adds,
                      "seconds": time.time() - t0})
     return {"rows": rows, "exponent": _try_fit(sizes, rows)}
+
+
+def svd_factor(a, engine, counter, with_report=False):
+    """``eig.svd_via_gram`` in the calling convention of ``bench_factor``."""
+    return eig.svd_via_gram(a, engine, counter=counter)
 
 
 def bench_block_lu(sizes, engine, gamma, seed, block_sizes=None) -> dict:
@@ -365,6 +373,8 @@ def cmd_bench(args) -> int:
         data = bench_factor(qr.qrr, sizes, engine, args.seed)
     elif args.target == "lur":
         data = bench_factor(lu.lur, sizes, engine, args.seed)
+    elif args.target == "svd":
+        data = bench_factor(svd_factor, sizes, engine, args.seed)
     elif args.target == "block-lu":
         bs = _parse_sizes(args.blocks) if args.blocks else None
         data = bench_block_lu(sizes, engine, args.gamma, args.seed, bs)
@@ -712,13 +722,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_eig)
 
-    p = sub.add_parser("svd", help="SVD via the symmetric eigensplits of [[0, A], [A^T, 0]]")
+    p = sub.add_parser("svd", help="SVD from the QDWH polar factor and one symmetric eigensolve")
     p.add_argument("--in", dest="infile", required=True)
     common(p)
     p.set_defaults(func=cmd_svd)
 
     p = sub.add_parser("bench", help="operation-count benchmarks")
-    p.add_argument("target", choices=["matmul", "qrr", "lur", "block-lu"])
+    p.add_argument("target", choices=["matmul", "qrr", "lur", "svd", "block-lu"])
     p.add_argument("--sizes", required=True)
     p.add_argument("--gamma", type=float, default=math.log2(7))
     p.add_argument("--blocks", default=None)

@@ -17,10 +17,12 @@ centered on the real axis, and complex conjugate pairs terminate as 2x2
 quasi-triangular bumps.
 
 The symmetric eigenproblem is the same driver with every compressed
-block re-symmetrized.  The SVD is that symmetric driver applied to
-[[0, A], [A^T, 0]] (Golub-Kahan), whose eigenvalues are the singular
-values of A and their negatives; ``svd_via_gram`` keeps the name of the
-Gram-matrix route it replaced because its callers use that name.
+block re-symmetrized.  The SVD goes through the polar decomposition
+A = W H (Nakatsukasa & Higham, SISC 2013): W comes from the QR-based
+dynamically weighted Halley iteration (QDWH; Nakatsukasa, Bai & Gygi,
+SIMAX 2010), which needs only ``qrr`` and products, and the symmetric
+driver runs once on the n-by-n H = W^T A.  ``svd_via_gram`` keeps the name
+of the Gram-matrix route it replaced because its callers use that name.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, RngStream, as_
                    norm, require_finite)
 from .lu import lur
 from .matmul import CONVENTIONAL, MmEngine, multiply
-from .qr import positive_q
+from .qr import positive_q, qrr
 from .rurv import rurv
 from .sylvester import block_boundaries, sep_estimate, sylr
 
@@ -43,6 +45,7 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_SIGN_ITERS = 40
 SIGN_CONV_TOL = math.sqrt(EPS)
 DEFAULT_LINE_BUDGET = 7
+POLAR_L0 = EPS  # assumed lower bound on sigma_min(A) / ||A||_F in the polar iteration
 EVEC_EXPONENT = 3.0  # calibrated c' in the eigenvector error bound
 
 
@@ -140,6 +143,7 @@ def sign_function(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarra
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("sign_function requires a square matrix")
+    require_finite("sign_function", a)
     x = a.copy()
     for _ in range(DEFAULT_SIGN_ITERS):
         if not np.all(np.isfinite(x)):
@@ -221,6 +225,7 @@ def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
     ``default_split_tol(n)`` times ||a|| in the entrywise-sum norm.
     """
     a = as_matrix(a)
+    require_finite("split_once", a)
     n = a.shape[0]
     rng = rng or RngStream(0)
     tol = default_split_tol(n)
@@ -454,36 +459,39 @@ def symmetric_eig(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = No
 
 def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None,
                  counter=None):
-    """SVD of a square matrix, A = U diag(s) V^T, from the symmetric Schur
-    driver on the Jordan-Wielandt matrix H = [[0, A], [A^T, 0]].
+    """SVD of a square matrix, A = U diag(s) V^T, from its polar
+    decomposition A = W H.
 
-    H has the eigenpairs (+-sigma_i, [u_i; +-v_i] / sqrt(2)), so s is the
-    n largest diagonal entries of H's Schur form (clipped at 0), and U and
-    V are sqrt(2) times the top and bottom halves of their Schur vectors;
-    the result inherits the symmetric driver's normwise bound.  A cluster
-    or a 2x2 leaf at 0 mixes the +sigma and -sigma vectors, so when the
-    driver flags a cluster (``cluster:lo:hi``, indexed into H) or the
-    factors miss the bound (U, V orthonormal to 1e3 n^2 eps, flagged
-    ``orthogonality``; A = U diag(s) V^T to 1e4 eps ||A||_F, flagged
-    ``reconstruction``), U and V are re-orthonormalized as the Q of a QR
-    with nonnegative R diagonal.  Returns (U, s, V, flags).  The name
-    predates this route and is kept for its callers.
+    W is the QDWH polar factor (``_polar``), H = sym(W^T A) is symmetric
+    positive semidefinite, and one symmetric Schur driver call gives
+    H = V diag(s) V^T; then U = W V, and the result inherits the symmetric
+    driver's normwise bound.  When sigma_min <= 1e4 eps ||A||_F (flagged
+    ``rank-deficient``), W is only a partial isometry and U's trailing
+    columns are not determined by A; on the Strassen engine such an A can
+    also miss the reconstruction bound.  So when the driver flags a cluster
+    (``cluster:lo:hi``), A is rank deficient, or the factors miss the bound
+    (U, V orthonormal to 1e3 n^2 eps, flagged ``orthogonality``;
+    A = U diag(s) V^T to 1e4 eps ||A||_F, flagged ``reconstruction``), U and
+    V are re-orthonormalized as the Q of a QR with nonnegative R diagonal.
+    Returns (U, s, V, flags).  The name predates this route and is kept for
+    its callers.
     """
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionError("svd_via_gram requires a square matrix")
     require_finite("svd_via_gram", a)
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, n:] = a
-    h[n:, :n] = a.T
-    res = schur_dandc(h, engine, rng, symmetric=True, counter=counter)
+    w = _polar(a, engine, counter)
+    h = multiply(np.ascontiguousarray(w.T), a, engine, counter)
+    res = schur_dandc(0.5 * (h + h.T), engine, rng, symmetric=True, counter=counter)
     lam = np.diag(res.t)
-    top = np.argsort(-lam)[:n]
-    sigma = np.maximum(lam[top], 0.0)
-    u = math.sqrt(2.0) * res.q[:n, top]
-    v = math.sqrt(2.0) * res.q[n:, top]
+    order = np.argsort(-lam)
+    sigma = np.maximum(lam[order], 0.0)
+    v = res.q[:, order]
+    u = multiply(w, v, engine, counter)
     flags = list(res.flags)
+    if sigma[-1] <= 1e4 * EPS * norm(a):
+        flags.append("rank-deficient")
     if not flags:
         orth = max(norm(multiply(x.T, x, engine, counter) - np.eye(n)) for x in (u, v))
         if orth > 1e3 * n * n * EPS:
@@ -493,6 +501,51 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     if flags:
         u, v = positive_q(u, engine, counter), positive_q(v, engine, counter)
     return u, sigma, v, flags
+
+
+def _polar(a, engine, counter):
+    """The orthogonal polar factor W of A = W H, by QDWH.
+
+    From X = A / ||A||_F and the lower bound ell = POLAR_L0 on its smallest
+    singular value, each step factors X = Q0 R, takes the thin QR
+    [sqrt(c) R; I] = [Q1; Q2] R' and sets
+    X <- (b/c) X + (a - b/c)/sqrt(c) Q0 Q1 Q2^T, with the weights (a, b, c)
+    chosen from ell, which the step then raises.  The iteration stops when
+    |1 - ell| <= 10 eps: six steps from ell = eps, with no inverse and no
+    pivoting.  Singular values of A below POLAR_L0 ||A||_F do not reach 1,
+    so W is then a partial isometry; the zero matrix gives W = I.
+
+    Stacking R rather than X keeps the step accurate on rank-deficient A.
+    While c is large, [sqrt(c) X; I] has rows of very different scale
+    whenever X has singular values below 1/sqrt(c), and the blocked
+    updates of ``qrr`` are not row-wise stable on it: a rank-1 64x64 A came
+    out with ||W^T A - A^T W|| = 2.9e4 eps ||A||_F.  With R, those large
+    rows come first and later reflectors have zeros there (8 eps ||A||_F).
+    """
+    n = a.shape[0]
+    scale = norm(a, FROBENIUS)
+    if scale == 0.0:
+        return np.eye(n)
+    x = a / scale
+    eye = np.eye(n)
+    ell = POLAR_L0
+    while abs(1.0 - ell) > 10.0 * EPS:
+        ell2 = ell * ell
+        d = (4.0 * max(1.0 - ell2, 0.0) / (ell2 * ell2)) ** (1.0 / 3.0)
+        root = math.sqrt(1.0 + d)
+        wa = root + 0.5 * math.sqrt(8.0 - 4.0 * d + 8.0 * (2.0 - ell2) / (ell2 * root))
+        wb = 0.25 * (wa - 1.0) ** 2
+        wc = wa + wb - 1.0
+        ell = ell * (wa + wb * ell2) / (1.0 + wc * ell2)
+        tri = qrr(x, engine, counter, with_report=False)
+        stack = np.vstack([math.sqrt(wc) * tri.r, eye])
+        q = qrr(stack, engine, counter, with_report=False).q.thin_q(engine, counter)
+        p = tri.q.apply_q(multiply(q[:n], np.ascontiguousarray(q[n:].T), engine, counter),
+                          engine, counter)
+        x = (wb / wc) * x + ((wa - wb / wc) / math.sqrt(wc)) * p
+        if counter is not None:
+            counter.count(mults=3 * x.size, adds=x.size)
+    return x
 
 
 # ---------------------------------------------------------------------------

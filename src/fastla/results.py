@@ -54,6 +54,13 @@ class WYFactor:
         wy = multiply(self.w, self.y, engine, counter)
         return np.eye(self.n) - wy.T
 
+    def thin_q(self, engine, counter=None):
+        """The leading n-by-m columns of Q, I[:, :m] - (W[:m] Y)^T."""
+        from .matmul import multiply
+
+        wy = multiply(self.w[: self.m], self.y, engine, counter)
+        return np.eye(self.n, self.m) - wy.T
+
 
 @dataclass
 class StabilityReport:

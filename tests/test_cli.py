@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fastla.cli import main, payload_bytes
-from fastla.core import RngStream, gaussian_matrix, read_matrix, write_matrix
+from fastla.core import EPS, RngStream, gaussian_matrix, read_matrix, write_matrix
 
 from helpers import random_triangular
 
@@ -118,8 +118,17 @@ class TestDecomposeOutputs:
                     "--report", workdir / "eigs.json"]) == 0
 
     def test_svd(self, workdir):
-        assert run(["svd", "--in", workdir / "A.mat", "--seed", 11,
-                    "--report", workdir / "svd.json"]) == 0
+        rep = workdir / "svd.json"
+        assert run(["svd", "--in", workdir / "A.mat", "--seed", 11, "--report", rep]) == 0
+        results = json.loads(rep.read_text())["payload"]["results"]
+        assert results["orth_defect"] <= 1e3 * 8 * 8 * EPS
+        assert results["residual"] <= results["bound"]
+
+    def test_svd_flagged_exit1(self, workdir):
+        rep = workdir / "svd-sing.json"
+        assert run(["svd", "--in", workdir / "sing.mat", "--report", rep]) == 1
+        results = json.loads(rep.read_text())["payload"]["results"]
+        assert "rank-deficient" in results["flags"]
 
 
 class TestBench:
@@ -129,6 +138,15 @@ class TestBench:
                     "--sizes", "16,32,64", "--report", rep]) == 0
         data = json.loads(rep.read_text())
         assert abs(data["payload"]["results"]["exponent"] - np.log2(7)) <= 0.01
+
+    def test_svd_rows_and_exponent(self, workdir):
+        rep = workdir / "bench-svd.json"
+        assert run(["bench", "svd", "--engine", "strassen", "--cutoff", 1,
+                    "--sizes", "16,32,64", "--report", rep]) == 0
+        results = json.loads(rep.read_text())["payload"]["results"]
+        assert [set(r) for r in results["rows"]] == [{"n", "mults", "adds"}] * 3
+        assert [r["n"] for r in results["rows"]] == [16, 32, 64]
+        assert np.isfinite(results["exponent"])
 
     def test_csv_output(self, workdir):
         out = workdir / "bench.csv"

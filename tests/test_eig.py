@@ -5,14 +5,22 @@ from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, no
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
-from fastla.eig import (SignDivergenceError, SplitRegion, default_split_tol, evecr,
+from fastla.eig import (SignDivergenceError, SplitRegion, _polar, default_split_tol, evecr,
                         gershgorin_rectangle, norm_a21_profile, schur_dandc,
                         sign_function, split_once, svd_via_gram, symmetric_eig)
+from fastla.rurv import haar_orthogonal
 from fastla.sylvester import block_eigenvalues
 
 from helpers import match_eigs, planted_nonsymmetric, random_triangular
 
 CONV = MmEngine("conv")
+
+
+def graded_tail(rng, n=64):
+    """P diag(sigma) Q^T with sigma 32 values in [1, 2] and 32 in [1e-6, 1e-3]."""
+    p, q = haar_orthogonal(n, rng.split(2)), haar_orthogonal(n, rng.split(3))
+    sigma = np.concatenate([np.linspace(1.0, 2.0, 32), np.logspace(-3.0, -6.0, 32)])
+    return p @ np.diag(sigma) @ q.T, sigma
 
 
 class TestSignFunction:
@@ -273,6 +281,62 @@ class TestSvdViaGram:
         np.testing.assert_allclose(s, sigma, atol=1e4 * EPS * sigma[0])
 
 
+class TestPolar:
+    @pytest.mark.parametrize("case", ["gaussian 64", "graded"])
+    def test_orthogonal_factor(self, rng, engine, case):
+        a = gaussian_matrix(64, 64, rng) if case == "gaussian 64" else graded_tail(rng)[0]
+        n = a.shape[0]
+        w = _polar(a, engine, None)
+        h = w.T @ a
+        na = norm(a)
+        assert norm(w.T @ w - np.eye(n)) <= 1e3 * n * n * EPS
+        assert norm(h - h.T) <= 1e4 * EPS * na
+        assert np.min(np.linalg.eigvalsh(0.5 * (h + h.T))) >= -1e4 * EPS * na
+
+    @pytest.mark.parametrize("case", ["rank 16 of 32", "zeros"])
+    def test_rank_deficient_symmetric_factor(self, rng, engine, case):
+        # W is only a partial isometry here; W^T A must still be symmetric.
+        p, q = haar_orthogonal(32, rng.split(2)), haar_orthogonal(32, rng.split(3))
+        rank16 = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 16), np.zeros(16)])) @ q.T
+        a = rank16 if case == "rank 16 of 32" else np.zeros((8, 8))
+        h = _polar(a, engine, None).T @ a
+        assert norm(h - h.T) <= 1e4 * EPS * norm(a)
+
+    def test_rank_one_of_64(self, rng, engine):
+        # W^T A missed the symmetry bound 3x when [sqrt(c) X; I] was factored
+        # without first reducing X to triangular form.  Strassen products are
+        # accurate only normwise, so on that engine it misses the bound
+        # still, and the SVD is flagged instead of within its bounds.
+        a = np.outer(rng.split(5).gaussians(64), rng.split(6).gaussians(64))
+        h = _polar(a, engine, None).T @ a
+        u, s, v, flags = svd_via_gram(a, engine, rng=rng.split(4))
+        assert "rank-deficient" in flags
+        if engine.kind == "conv":
+            assert norm(h - h.T) <= 1e4 * EPS * norm(a)
+
+    def test_graded_tail_within_bounds_unflagged(self, rng, engine):
+        # The [[0, A], [A^T, 0]] route flagged this input `reconstruction`.
+        a, sigma = graded_tail(rng)
+        n = a.shape[0]
+        u, s, v, flags = svd_via_gram(a, engine, rng=rng.split(4))
+        na = norm(a)
+        assert not flags
+        assert np.max(np.abs(s - np.sort(sigma)[::-1])) <= 1e4 * EPS * na
+        assert norm(a - u @ np.diag(s) @ v.T) <= 1e4 * EPS * na
+        assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS
+        assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS
+
+    def test_op_tally_within_five_symmetric_eigs(self, rng, engine):
+        # One n x n symmetric eigensolve plus six QDWH steps (3.4-3.8 times
+        # symmetric_eig's mults); the 2n x 2n [[0, A], [A^T, 0]] route took
+        # 8.5-9.0 times.
+        a = gaussian_matrix(32, 32, rng)
+        svd_count, eig_count = OpCounter(), OpCounter()
+        svd_via_gram(a, engine, rng.split(1), svd_count)
+        symmetric_eig(a + a.T, engine, rng.split(1), eig_count)
+        assert svd_count.scalar_mults <= 5 * eig_count.scalar_mults
+
+
 class TestEvecR:
     def test_hand_two_by_two(self):
         v, err = evecr(np.array([[2.0, 1.0], [0.0, 3.0]]))
@@ -355,10 +419,15 @@ class TestEvecR:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("entry", [schur_dandc, symmetric_eig, svd_via_gram])
+@pytest.mark.parametrize("entry", [
+    schur_dandc, symmetric_eig, svd_via_gram, sign_function,
+    pytest.param(lambda a: split_once(a, SplitRegion.half_plane(0.0)), id="split_once"),
+])
 def test_non_finite_input_rejected(alarm, entry, bad):
     # A 4x4 with one NaN used to send schur_dandc's region search into an
-    # endless bisection.  The typed error comes before any numpy warning.
+    # endless bisection, made split_once return a rejected split and
+    # sign_function raise SignDivergenceError.  The typed error comes before
+    # any numpy warning.
     a = np.diag([4.0, 3.0, 2.0, 1.0]) + 0.1
     a[1, 2] = a[2, 1] = bad
     with pytest.raises(NonFiniteInputError):
