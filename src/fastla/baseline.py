@@ -20,6 +20,7 @@ the leaf is plain back substitution with no Python loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,65 +71,58 @@ def block_cost_exponent(gamma: float) -> float:
 # Householder panels and conventional QR
 
 
-def _reflector(x, counter=None):
-    """Unit Householder data (w, r) with (I - 2 w w^T) x = r e_1.
-
-    Normalized so ||w|| = 1 and the paired Y row is 2 w^T (norm 2); the
-    sign choice r = -sign(x_0) ||x|| avoids cancellation.  A zero column
-    yields the degenerate w = e_1 with a zero Y row.
-    """
-    k = x.shape[0]
-    sigma = float(np.sqrt(np.sum(x * x)))
-    if counter is not None:
-        counter.count(mults=k, adds=k - 1)
-    if sigma == 0.0:
-        w = np.zeros(k)
-        w[0] = 1.0
-        return w, 0.0, True
-    s = 1.0 if x[0] >= 0.0 else -1.0
-    v = x.copy()
-    v[0] += s * sigma
-    vnorm = float(np.sqrt(np.sum(v * v)))
-    if counter is not None:
-        counter.count(mults=2 * k, adds=k)
-    return v / vnorm, -s * sigma, False
-
-
 def panel_qr_wy(a, counter=None):
     """In-place Householder QR of a panel, accumulating the WY form.
 
     Overwrites ``a`` with R (exact zeros below the diagonal) and returns
     (W, Y, degenerate_columns) for Q^T = I - W Y on the panel's row range.
+    Column j's reflector w has ||w|| = 1 and is written straight into
+    W[j:, j], with the paired Y row 2 w^T in Y[j, j:]; the sign choice
+    R_jj = -sign(a_jj) ||a_j|| avoids cancellation.  A zero column yields
+    the degenerate w = e_j with a zero Y row.  The op tallies are summed in
+    locals and counted once.
     """
     n, m = a.shape
     w_acc = np.zeros((n, m))
     y_acc = np.zeros((m, n))
     degenerate = []
+    mults = adds = 0
     for j in range(min(n, m)):
-        w, r, degen = _reflector(a[j:, j], counter)
-        if degen:
+        k = n - j
+        x = a[j:, j]
+        sigma = math.sqrt((x * x).sum())
+        mults += k
+        adds += k - 1
+        if sigma == 0.0:
             degenerate.append(j)
-        wf = np.zeros(n)
-        wf[j:] = w
-        yf = np.zeros(n)
-        if not degen:
-            yf[j:] = 2.0 * w
-        if not degen and j + 1 < m:
+            w_acc[j, j] = 1.0
+            x[:] = 0.0
+            continue
+        s = 1.0 if x[0] >= 0.0 else -1.0
+        w = x.copy()
+        w[0] += s * sigma
+        w /= math.sqrt((w * w).sum())
+        w_acc[j:, j] = w
+        yf = y_acc[j]
+        np.multiply(w, 2.0, out=yf[j:])
+        mults += 2 * k
+        adds += k
+        if j + 1 < m:
+            cols = m - j - 1
             t = yf[j:] @ a[j:, j + 1 :]
-            a[j:, j + 1 :] -= np.outer(w, t)
-            if counter is not None:
-                k = n - j
-                cols = m - j - 1
-                counter.count(mults=2 * k * cols, adds=(2 * k - 1) * cols)
-        a[j, j] = r
+            a[j:, j + 1 :] -= w[:, None] * t
+            mults += 2 * k * cols
+            adds += (2 * k - 1) * cols
+        a[j, j] = -s * sigma
         a[j + 1 :, j] = 0.0
-        if j > 0 and not degen:
+        if j > 0:
+            # Full-length rows, zeros above j included, keep the sums' order.
             t = yf @ w_acc[:, :j]
-            w_acc[:, :j] -= np.outer(wf, t)
-            if counter is not None:
-                counter.count(mults=2 * n * j, adds=2 * n * j)
-        w_acc[:, j] = wf
-        y_acc[j, :] = yf
+            w_acc[:, :j] -= w_acc[:, j, None] * t
+            mults += 2 * n * j
+            adds += 2 * n * j
+    if counter is not None:
+        counter.count(mults=mults, adds=adds)
     return w_acc, y_acc, degenerate
 
 
@@ -164,28 +158,40 @@ def _gepp_panel(a, counter=None):
     On return the strict lower part of ``a`` holds the L multipliers and
     the upper part holds U.  Returns (perm, zero_pivot) where ``perm`` is
     the row order such that original[perm] was factorized.
+
+    The elimination runs on a transposed copy, so each column is a
+    contiguous row and the rank-1 updates loop over the long dimension;
+    the values are those of the textbook row-oriented loop, bit for bit.
+    Op tallies are summed in locals and counted once.
     """
     n, m = a.shape
+    at = a.T.copy()
     perm = np.arange(n)
     zero_pivot = False
+    mults = adds = 0
     for j in range(min(n, m)):
-        piv = j + int(np.argmax(np.abs(a[j:, j])))
+        col = at[j]
+        piv = j + int(np.abs(col[j:]).argmax())
         if piv != j:
-            a[[j, piv], :] = a[[piv, j], :]
-            perm[[j, piv]] = perm[[piv, j]]
-        pivot = a[j, j]
+            row = at[:, j].copy()
+            at[:, j] = at[:, piv]
+            at[:, piv] = row
+            perm[j], perm[piv] = perm[piv], perm[j]
+        pivot = col[j]
         if pivot == 0.0:
             zero_pivot = True
             continue
-        a[j + 1 :, j] /= pivot
-        if j + 1 < m:
-            a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
-            if counter is not None:
-                rows = n - j - 1
-                cols = m - j - 1
-                counter.count(mults=rows + rows * cols, adds=rows * cols)
-        elif counter is not None:
-            counter.count(mults=n - j - 1)
+        below = col[j + 1 :]
+        below /= pivot
+        rows = n - j - 1
+        cols = m - j - 1
+        if cols:
+            at[j + 1 :, j + 1 :] -= at[j + 1 :, j, None] * below
+        mults += rows + rows * cols
+        adds += rows * cols
+    a[:] = at.T
+    if counter is not None:
+        counter.count(mults=mults, adds=adds)
     return perm, zero_pivot
 
 

@@ -295,36 +295,6 @@ def solve_lower(l, b, unit_diag=False):
     return x if b.hi.ndim == 2 else DD(x.hi[:, 0], x.lo[:, 0])
 
 
-def gepp(a):
-    """LU with partial pivoting in extended precision: a[p] == L @ U."""
-    a = _coerce(a).copy()
-    n = a.shape[0]
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a.hi[k:, k])))
-        if piv != k:
-            perm[[k, piv]] = perm[[piv, k]]
-            a.hi[[k, piv], :] = a.hi[[piv, k], :]
-            a.lo[[k, piv], :] = a.lo[[piv, k], :]
-        if a.hi[k, k] == 0.0:
-            raise ZeroDivisionError("exactly singular matrix in dd gepp")
-        col = a[k + 1 :, k : k + 1] / a[k, k]
-        a[k + 1 :, k : k + 1] = col
-        a[k + 1 :, k + 1 :] = a[k + 1 :, k + 1 :] - col @ a[k : k + 1, k + 1 :]
-    return perm, a
-
-
-def solve(a, b):
-    """Solve A x = b in extended precision via GEPP."""
-    b = _coerce(b)
-    perm, lu = gepp(a)
-    rhs = b if b.hi.ndim == 2 else DD(b.hi[:, None], b.lo[:, None])
-    rhs = rhs[perm, :]
-    y = solve_lower(lu, rhs, unit_diag=True)
-    x = solve_upper(lu, y)
-    return x if b.hi.ndim == 2 else DD(x.hi[:, 0], x.lo[:, 0])
-
-
 def inv_upper(u):
     """Substitution-based inverse of an upper triangular matrix."""
     u = _coerce(u)
@@ -364,9 +334,3 @@ def spd_inv(h):
     n = l.shape[0]
     y = solve_lower(l, DD(np.eye(n)))
     return solve_upper(l.T, y)
-
-
-def inv(a):
-    """Extended-precision inverse via GEPP column solves."""
-    a = _coerce(a)
-    return solve(a, DD(np.eye(a.shape[0])))

@@ -465,9 +465,11 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     W is the QDWH polar factor (``_polar``), H = sym(W^T A) is symmetric
     positive semidefinite, and one symmetric Schur driver call gives
     H = V diag(s) V^T; then U = W V, and the result inherits the symmetric
-    driver's normwise bound.  When sigma_min <= 1e4 eps ||A||_F (flagged
-    ``rank-deficient``), W is only a partial isometry and U's trailing
-    columns are not determined by A; on the Strassen engine such an A can
+    driver's normwise bound.  When sigma_min <= 1e4 eps ||A||_F, or an
+    unsplit cluster's block of the driver's T has a Gershgorin lower bound
+    at or below that floor (flagged ``rank-deficient``), W is only a
+    partial isometry and U's trailing columns are not determined by A;
+    on the Strassen engine such an A can
     also miss the reconstruction bound.  So when the driver flags a cluster
     (``cluster:lo:hi``), A is rank deficient, or the factors miss the bound
     (U, V orthonormal to 1e3 n^2 eps, flagged ``orthogonality``;
@@ -490,17 +492,33 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     v = res.q[:, order]
     u = multiply(w, v, engine, counter)
     flags = list(res.flags)
-    if sigma[-1] <= 1e4 * EPS * norm(a):
+    floor = 1e4 * EPS * norm(a)
+    if sigma[-1] <= floor or any(_cluster_floor(res.t, f) <= floor
+                                 for f in res.flags if f.startswith("cluster:")):
         flags.append("rank-deficient")
     if not flags:
         orth = max(norm(multiply(x.T, x, engine, counter) - np.eye(n)) for x in (u, v))
         if orth > 1e3 * n * n * EPS:
             flags.append("orthogonality")
-        elif norm(a - multiply(u * sigma, v.T, engine, counter)) > 1e4 * EPS * norm(a):
+        elif norm(a - multiply(u * sigma, v.T, engine, counter)) > floor:
             flags.append("reconstruction")
     if flags:
         u, v = positive_q(u, engine, counter), positive_q(v, engine, counter)
     return u, sigma, v, flags
+
+
+def _cluster_floor(t, flag):
+    """Gershgorin lower bound min_i (t_ii - sum_{j != i} |t_ij|) on the
+    eigenvalues of the symmetric block named by a ``cluster:lo:hi`` flag.
+
+    An unsplit cluster's diagonal can overstate its smallest eigenvalue,
+    so sigma_min read from it alone can miss a rank deficiency.
+    """
+    lo, hi = (int(x) for x in flag.split(":")[1:])
+    block = t[lo:hi, lo:hi]
+    off = np.abs(block)
+    np.fill_diagonal(off, 0.0)
+    return float(np.min(np.diag(block) - off.sum(axis=1)))
 
 
 def _polar(a, engine, counter):

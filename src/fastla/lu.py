@@ -8,10 +8,13 @@ permutations are applied across the full row range, so the output satisfies
 a[perm] = L U with |L_ij| <= 1.
 
 The upper-right block (step b) is the recursive triangular solve of
-``baseline.solve_triangular``, whose block updates are engine products too.
-Stability is conditional on L being well conditioned: a 1-norm condition
-estimate of every solved leading block is tracked and a warning flag raised
-above 1e3.
+``baseline.solve_triangular``, whose block updates are engine products too;
+it reads only the strict lower triangle of the compact storage.  Stability
+is conditional on L being well conditioned.  When a report is requested,
+a Hager 1-norm condition estimate of every solved leading block is tracked
+and a warning flag raised above 1e3; without a report (the sign iteration,
+``moebius_apply``, ``solve_linear``) no estimate is made, because each one
+costs five pairs of triangular solves and those callers never read it.
 """
 
 from __future__ import annotations
@@ -35,55 +38,68 @@ class LuResult:
     l: np.ndarray
     u: np.ndarray
     report: StabilityReport
-    l_cond: float
+    # Max 1-norm condition estimate over the solved unit lower blocks, or
+    # None when the factorization ran without a report and made none.
+    l_cond: float | None
     zero_pivot: bool
 
 
 def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
         with_report: bool = True) -> LuResult:
-    """Recursive LU of an n-by-m matrix (n >= m): a[perm] = L U."""
+    """Recursive LU of an n-by-m matrix (n >= m): a[perm] = L U.
+
+    With ``with_report`` the report carries the relative residual and the
+    L condition estimate is made (``l_cond``, flag ``l-ill-conditioned``
+    above 1e3).  Without it, ``l_cond`` is None and only ``zero-pivot`` can
+    be flagged; P, L and U are the same either way.
+    """
     a = as_matrix(a)
     n, m = a.shape
     if n < m:
         raise DimensionError("lur requires rows >= cols")
     require_finite("lur", a)
     work = a.copy()
-    perm, l_cond, zero_piv = _lur_rec(work, engine, counter)
+    perm, l_cond, zero_piv = _lur_rec(work, engine, counter, with_report)
     l = np.tril(work[:, :m], -1)
     l[np.arange(m), np.arange(m)] = 1.0
     u = np.triu(work[:m, :m])
     flags = []
     if zero_piv:
         flags.append("zero-pivot")
-    if l_cond > L_COND_WARN:
-        flags.append("l-ill-conditioned")
     if with_report:
+        if l_cond > L_COND_WARN:
+            flags.append("l-ill-conditioned")
         na = norm(a, FROBENIUS)
         resid = norm(a[perm] - l @ u, FROBENIUS) / na if na != 0.0 else 0.0
         report = StabilityReport(residual=resid, flags=flags)
     else:
         report = StabilityReport(0.0, flags=flags)
+        l_cond = None
     return LuResult(p=perm, l=l, u=u, report=report, l_cond=l_cond, zero_pivot=zero_piv)
 
 
-def _lur_rec(a, engine, counter):
-    """Factorize the view in place (compact storage); returns (perm, l_cond, zero_pivot)."""
+def _lur_rec(a, engine, counter, estimate):
+    """Factorize the view in place (compact storage); returns (perm, l_cond, zero_pivot).
+
+    ``l_cond`` is 1.0 unless ``estimate`` asks for the L condition estimates.
+    """
     n, m = a.shape
     if m <= DEFAULT_PANEL_CUTOFF:
         perm, zero_piv = _gepp_panel(a, counter)
         return perm, 1.0, zero_piv
     m2 = m // 2
-    perm1, cond1, zp1 = _lur_rec(a[:, :m2], engine, counter)
+    perm1, cond1, zp1 = _lur_rec(a[:, :m2], engine, counter, estimate)
     a[:, m2:] = a[:, m2:][perm1]
-    l11 = np.tril(a[:m2, :m2], -1) + np.eye(m2)
-    cond_here = _unit_lower_cond1(l11, engine)
-    a[:m2, m2:] = solve_triangular(l11, a[:m2, m2:], lower=True, unit_diag=True,
+    cond_here = 1.0
+    if estimate:
+        cond_here = _unit_lower_cond1(np.tril(a[:m2, :m2], -1) + np.eye(m2), engine)
+    a[:m2, m2:] = solve_triangular(a[:m2, :m2], a[:m2, m2:], lower=True, unit_diag=True,
                                    engine=engine, counter=counter)
     upd = multiply(a[m2:, :m2], a[:m2, m2:], engine, counter)
     a[m2:, m2:] -= upd
     if counter is not None:
         counter.count(adds=(n - m2) * (m - m2))
-    perm2, cond2, zp2 = _lur_rec(a[m2:, m2:], engine, counter)
+    perm2, cond2, zp2 = _lur_rec(a[m2:, m2:], engine, counter, estimate)
     a[m2:, :m2] = a[m2:, :m2][perm2]
     perm = np.concatenate([perm1[:m2], perm1[m2:][perm2]])
     return perm, max(cond1, cond_here, cond2), zp1 or zp2

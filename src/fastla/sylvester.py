@@ -27,7 +27,6 @@ from .baseline import SylvesterSingularError, conventional_sylvester
 from .core import EPS, FROBENIUS, DimensionError, RngStream, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
-from . import dd
 
 SEP_MAX_ITERS = 500
 # Calibration constant multiplying the sylr error recurrence.
@@ -311,38 +310,3 @@ def sylr_oracle_equivalence(problems, engine: MmEngine = CONVENTIONAL) -> float:
         scale = EPS * nr * (norm(a, FROBENIUS) + norm(b, FROBENIUS)) / sep
         worst = max(worst, norm(r1 - r2, FROBENIUS) / scale)
     return float(worst)
-
-
-def sylvester_dd(a, b, c):
-    """Extended-precision column-by-column solve of A R - R B = -C.
-
-    This is the Kronecker-system oracle: the system is permuted
-    triangular, so substitution in double-word arithmetic solves it
-    exactly up to ~2^-105 roundoff.
-    """
-    a_dd = dd.DD(as_matrix(a))
-    b_dd = dd.DD(as_matrix(b))
-    c_dd = dd.DD(as_matrix(c))
-    n, m = c_dd.shape
-    r = dd.DD(np.zeros((n, m)))
-    for j in range(m):
-        rhs = -c_dd[:, j : j + 1]
-        if j > 0:
-            rhs = rhs + r[:, :j] @ b_dd[:j, j : j + 1]
-        shift = b_dd[j, j]
-        x = dd.DD(np.zeros((n, 1)))
-        for i in range(n - 1, -1, -1):
-            acc = rhs[i : i + 1, :]
-            if i + 1 < n:
-                acc = acc - a_dd[i : i + 1, i + 1 :] @ x[i + 1 :, :]
-            denom = a_dd[i, i] - shift
-            x[i : i + 1, :] = acc / denom
-        r[:, j : j + 1] = x
-    return r.to_float64()
-
-
-def kron_operator(a, b) -> np.ndarray:
-    """The dense Kronecker matrix I (x) A - B^T (x) I."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return np.kron(np.eye(b.shape[0]), a) - np.kron(b.T, np.eye(a.shape[0]))

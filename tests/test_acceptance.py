@@ -21,10 +21,11 @@ from fastla.matmul import MmEngine, OpCounter, fit_exponent, multiply
 from fastla.qr import columnwise_scale_wrap, qrr
 from fastla.rurv import exact_rank_probe, f_statistic_experiment, rurv
 from fastla.sylvester import (SylvesterProblem, block_eigenvalues, sep_estimate, sylr,
-                              sylr_oracle_equivalence, sylvester_dd)
+                              sylr_oracle_equivalence)
 
 from helpers import (dd_residual_lu, match_eigs, planted_nonsymmetric, planted_svd,
-                     random_triangular, spd_with_condition, triangular_with_condition)
+                     random_triangular, spd_with_condition, sylvester_dd,
+                     triangular_with_condition)
 
 CONV = MmEngine("conv")
 LOG2_7 = math.log2(7.0)

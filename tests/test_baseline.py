@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
-from fastla.baseline import (BlockConfig, SylvesterSingularError, block_cost_exponent,
-                             block_lu, block_qr, conventional_sylvester, gepp_lu,
-                             householder_qr, jacobi_eig, jacobi_svd, pivot_growth,
-                             recommended_block_size)
+from fastla.baseline import (BlockConfig, SylvesterSingularError, _gepp_panel,
+                             block_cost_exponent, block_lu, block_qr, conventional_sylvester,
+                             gepp_lu, householder_qr, jacobi_eig, jacobi_svd, panel_qr_wy,
+                             pivot_growth, recommended_block_size)
 from fastla.matmul import MmEngine, OpCounter, multiply
 
-from helpers import dd_residual_lu, dd_residual_qr
+from helpers import (dd_residual_lu, dd_residual_qr, gepp_panel_reference,
+                     panel_qr_wy_reference)
 
 
 class TestHouseholderQr:
@@ -35,6 +36,72 @@ class TestHouseholderQr:
         q, r = householder_qr(a)
         assert abs(r[1, 1]) <= 8 * EPS
         assert np.linalg.norm(a - q @ r) <= 64 * EPS
+
+
+def _panel(case):
+    """A fresh copy of a panel both base kernels are checked on (the strided
+    case is a column slice of a wider matrix, as the recursions pass them)."""
+    rng = RngStream(0x9A2E1)
+    shapes = {"1x1": (1, 1), "7x3": (7, 3), "8x8": (8, 8), "64x8": (64, 8), "384x8": (384, 8)}
+    if case in shapes:
+        return gaussian_matrix(*shapes[case], rng)
+    if case == "strided view":
+        return gaussian_matrix(64, 16, rng)[:, 3:11]
+    if case == "zero column":
+        a = gaussian_matrix(12, 5, rng)
+        a[:, 2] = 0.0
+        return a
+    if case == "rank 1":
+        return np.outer(rng.split(0).gaussians(16), rng.split(1).gaussians(6))
+    if case == "negative lead":
+        a = gaussian_matrix(10, 4, rng)
+        a[0, 0] = -1.0 - np.max(np.abs(a[:, 0]))
+        return a
+    assert case == "pivot tie"
+    return np.array([[1.0], [-1.0]])
+
+
+PANEL_CASES = ["1x1", "7x3", "8x8", "64x8", "384x8", "strided view", "zero column", "rank 1",
+               "negative lead", "pivot tie"]
+
+
+def _same_bits(x, y):
+    """Equal dtype, shape and bytes: np.array_equal that also tells -0.0 from 0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestBasePanels:
+    """The vectorized panels against their column-by-column references:
+    every output bit for bit (signs of zeros included) and equal op tallies."""
+
+    @pytest.mark.parametrize("case", PANEL_CASES)
+    def test_gepp_panel_matches_reference(self, case):
+        work, ref = _panel(case), _panel(case)
+        count, ref_count = OpCounter(), OpCounter()
+        perm, zero_pivot = _gepp_panel(work, count)
+        ref_perm, ref_zero_pivot = gepp_panel_reference(ref, ref_count)
+        assert _same_bits(work, ref)
+        assert _same_bits(perm, ref_perm)
+        assert zero_pivot == ref_zero_pivot
+        assert count == ref_count
+        assert zero_pivot == (case == "zero column")
+        if case == "pivot tie":
+            np.testing.assert_array_equal(perm, [0, 1])  # the first index wins
+
+    @pytest.mark.parametrize("case", PANEL_CASES)
+    def test_panel_qr_wy_matches_reference(self, case):
+        work, ref = _panel(case), _panel(case)
+        count, ref_count = OpCounter(), OpCounter()
+        w, y, degenerate = panel_qr_wy(work, count)
+        ref_w, ref_y, ref_degenerate = panel_qr_wy_reference(ref, ref_count)
+        for got, want in ((work, ref), (w, ref_w), (y, ref_y)):
+            assert _same_bits(got, want)
+        assert degenerate == ref_degenerate
+        assert count == ref_count
+        assert (degenerate == [2]) == (case == "zero column")
+        if case == "negative lead":
+            assert work[0, 0] > 0.0  # R_00 = -sign(a_00) ||a_0||
 
 
 class TestGeppLu:

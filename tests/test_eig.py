@@ -272,6 +272,22 @@ class TestSvdViaGram:
                   and norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS)
         assert within or flags
 
+    def test_rank_deficiency_inside_unsplit_cluster_flagged(self):
+        # sigma_min = 1e-12 sits in an unsplit cluster whose diagonal reads
+        # 6.3e-11, above the 1e4 eps ||A||_F floor (1.9e-11); the cluster's
+        # Gershgorin lower bound (-1.3e-9) is not, so the result is flagged.
+        from helpers import planted_svd
+
+        n = 64
+        sigma = np.concatenate([np.linspace(2.0, 1.0, 32), np.logspace(-8.0, -12.0, 32)])
+        a, _, _ = planted_svd(n, sigma, RngStream(2024))
+        u, s, v, flags = svd_via_gram(a)
+        floor = 1e4 * EPS * norm(a)
+        assert flags == ["cluster:40:64", "rank-deficient"]
+        assert s[-1] > floor
+        assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS
+        assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS
+
     def test_graded_spectrum(self, rng):
         from helpers import planted_svd
 

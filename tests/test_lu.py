@@ -83,6 +83,56 @@ class TestLur:
                 assert res.report.residual <= 1e3 * n * n * EPS * g
 
 
+class TestConditionEstimateOnlyWithReport:
+    """The Hager estimate of L's blocks runs only when a report is asked for."""
+
+    @pytest.fixture
+    def estimates(self, monkeypatch):
+        from fastla import lu
+
+        made = []
+        estimate = lu._unit_lower_cond1
+
+        def counted(l, engine):
+            made.append(estimate(l, engine))
+            return made[-1]
+
+        monkeypatch.setattr(lu, "_unit_lower_cond1", counted)
+        return made
+
+    def test_no_estimate_in_split_or_solve(self, estimates):
+        from fastla.eig import SplitRegion, split_once
+
+        rng = RngStream(0xC0DE)
+        a = gaussian_matrix(32, 32, rng.split(0))
+        split_once(a, SplitRegion.half_plane(0.0), rng=rng.split(1))
+        solve_linear(a, rng.split(2).gaussians(32))
+        assert estimates == []
+
+    def test_one_estimate_per_recursion_node_with_report(self, estimates):
+        # n = 64 with 8-column panels: nodes of 64, 2 x 32 and 4 x 16 columns.
+        a = gaussian_matrix(64, 64, RngStream(0xC0DE))
+        res = lur(a)
+        assert len(estimates) == 7
+        assert res.l_cond == max(estimates)
+        assert ("l-ill-conditioned" in res.report.flags) == (res.l_cond > 1e3)
+
+    def test_same_factors_without_report(self, rng, engine):
+        a = gaussian_matrix(64, 64, rng)
+        full, bare = lur(a, engine), lur(a, engine, with_report=False)
+        for got, want in ((bare.p, full.p), (bare.l, full.l), (bare.u, full.u)):
+            assert np.array_equal(got, want)
+        assert isinstance(full.l_cond, float)
+        assert bare.l_cond is None
+        assert bare.report.flags == []
+
+    def test_zero_pivot_flagged_without_report(self):
+        res = lur(np.array([[1.0, 2.0], [2.0, 4.0]]), with_report=False)
+        assert res.zero_pivot
+        assert res.report.flags == ["zero-pivot"]
+        assert res.l_cond is None
+
+
 class TestSolveTriangular:
     def test_identity(self):
         np.testing.assert_array_equal(

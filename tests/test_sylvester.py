@@ -8,10 +8,10 @@ from fastla.baseline import SylvesterSingularError, conventional_sylvester, jaco
 from fastla.eig import evecr
 from fastla.matmul import MmEngine
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
-                              block_eigenvalues, kron_operator, predicted_sylr_bound,
-                              sep_estimate, sylr, sylr_oracle_equivalence, sylvester_dd)
+                              block_eigenvalues, predicted_sylr_bound, sep_estimate, sylr,
+                              sylr_oracle_equivalence)
 
-from helpers import random_triangular
+from helpers import kron_operator, random_triangular, sylvester_dd
 
 CONV = MmEngine("conv")
 
