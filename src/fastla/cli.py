@@ -218,7 +218,7 @@ def cmd_eig(args) -> int:
         tree = []
         flags = []
     else:
-        res = eig.schur_dandc(a, engine, rng, use_disks=args.disks)
+        res = eig.schur_dandc(a, engine, rng)
         q, t, tree, flags = res.q, res.t, res.tree, res.flags
     resid = norm(a - q @ t @ q.T, FROBENIUS) / max(norm(a, FROBENIUS), 1e-300)
     orth = norm(q.T @ q - np.eye(n), FROBENIUS)
@@ -718,7 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--vectors", action="store_true")
-    p.add_argument("--disks", action="store_true")
     common(p)
     p.set_defaults(func=cmd_eig)
 

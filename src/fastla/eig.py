@@ -2,15 +2,16 @@
 and eigenvector assembly.
 
 One split works like this: a Moebius transform maps the chosen dividing
-line (or circle) to the imaginary axis, the Newton iteration
-A_{i+1} = (A_i + A_i^-1)/2 drives the transformed matrix to its sign,
-P+ = (sign + I)/2 is the spectral projector, and a randomized
-rank-revealing factorization of P+ yields an orthogonal Q whose leading
-columns span the invariant subspace.  The split dimension r is chosen by
-minimizing the entrywise-sum norm of the below-block of Q^T A Q over all
-r in O(n^2) (ColSum/RowSum recurrences); a split is accepted only when
-that norm is below the backward-error budget, retrying with a fresh
-random factorization a few times and subdividing the region after that.
+line (or circle, tried for a nonsymmetric block when no line splits it) to
+the imaginary axis, the Newton iteration A_{i+1} = (A_i + A_i^-1)/2 drives
+the transformed matrix to its sign, P+ = (sign + I)/2 is the spectral
+projector, and a randomized rank-revealing factorization of P+ yields an
+orthogonal Q whose leading columns span the invariant subspace.  The
+split dimension r is chosen by minimizing the entrywise-sum norm of the
+below-block of Q^T A Q over all r in O(n^2) (ColSum/RowSum recurrences); a
+split is accepted only when that norm is below the backward-error budget,
+retrying with a fresh random factorization a few times and subdividing the
+region after that.
 
 Real arithmetic throughout: dividing lines are vertical, circles are
 centered on the real axis, and complex conjugate pairs terminate as 2x2
@@ -32,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import SingularMatrixError, solve_triangular
-from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, RngStream, as_matrix,
-                   norm, require_finite)
-from .lu import lur
+from .baseline import SingularMatrixError
+from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, NonFiniteInputError,
+                   RngStream, as_matrix, norm, require_finite)
+from .lu import solve_linear
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .qr import positive_q, qrr
 from .rurv import rurv
@@ -51,18 +52,6 @@ EVEC_EXPONENT = 3.0  # calibrated c' in the eigenvector error bound
 
 class SignDivergenceError(RuntimeError):
     """The sign iteration failed to converge (eigenvalues on the split curve)."""
-
-
-@dataclass(frozen=True)
-class Moebius:
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-
-    def __post_init__(self):
-        if self.alpha * self.delta - self.beta * self.gamma == 0.0:
-            raise ValueError("degenerate Moebius transform")
 
 
 @dataclass(frozen=True)
@@ -87,14 +76,6 @@ class SplitRegion:
         if radius <= 0.0:
             raise ValueError("disk radius must be positive")
         return SplitRegion(kind="disk", center=float(center), radius=float(radius))
-
-    def moebius(self) -> Moebius:
-        if self.kind == "half-plane":
-            return Moebius(1.0, -self.x, 0.0, 1.0)
-        if self.kind == "disk":
-            return Moebius(1.0, -(self.center + self.radius),
-                           1.0, -(self.center - self.radius))
-        raise ValueError(f"unknown region kind {self.kind!r}")
 
 
 @dataclass
@@ -138,7 +119,8 @@ def sign_function(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarra
     """Newton iteration for sign(A); requires no eigenvalue on the imaginary axis.
 
     Stops when a step moves X by at most SIGN_CONV_TOL relative in the
-    1-norm, and raises SignDivergenceError after DEFAULT_SIGN_ITERS steps.
+    1-norm, and raises SignDivergenceError after DEFAULT_SIGN_ITERS steps or
+    at a singular or non-finite iterate.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -146,12 +128,10 @@ def sign_function(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarra
     require_finite("sign_function", a)
     x = a.copy()
     for _ in range(DEFAULT_SIGN_ITERS):
-        if not np.all(np.isfinite(x)):
-            raise SignDivergenceError("non-finite sign iterate")
         try:
             xi = _inv_and_logdet(x, engine, counter)
-        except (SingularMatrixError, ZeroDivisionError) as exc:
-            raise SignDivergenceError("singular iterate in sign iteration") from exc
+        except (SingularMatrixError, NonFiniteInputError) as exc:
+            raise SignDivergenceError("singular or non-finite sign iterate") from exc
         new = 0.5 * (x + xi)
         if counter is not None:
             counter.count(mults=new.size, adds=new.size)
@@ -164,33 +144,26 @@ def sign_function(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarra
 
 
 def _inv_and_logdet(x, engine, counter):
-    """X^-1 from LUR and two triangular solves (the name predates the
-    dropped log-determinant, and the benchmark's tracer looks it up)."""
-    res = lur(x, engine, counter, with_report=False)
-    diag = np.diag(res.u)
-    if res.zero_pivot or np.any(diag == 0.0):
-        raise SingularMatrixError("singular matrix in sign iteration")
-    y = solve_triangular(res.l, np.eye(x.shape[0])[res.p], lower=True, unit_diag=True,
-                         engine=engine, counter=counter)
-    return solve_triangular(res.u, y, engine=engine, counter=counter)
+    """X^-1 by ``solve_linear`` (the name predates the dropped
+    log-determinant, and the benchmark's tracer looks it up)."""
+    return solve_linear(x, np.eye(x.shape[0]), engine, counter)
 
 
 def moebius_apply(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL, counter=None):
-    """(alpha A + beta I)(gamma A + delta I)^-1 for the region's transform."""
+    """Map the region's boundary to the imaginary axis, its exterior to the
+    right half-plane: A - xI for the half-plane Re > x, and
+    (A - (c+r)I)(A - (c-r)I)^-1 for the disk of center c and radius r."""
     a = as_matrix(a)
-    m = region.moebius()
-    n = a.shape[0]
-    num = m.alpha * a + m.beta * np.eye(n)
-    if m.gamma == 0.0:
-        return num / m.delta
-    den = m.gamma * a + m.delta * np.eye(n)
-    res = lur(np.ascontiguousarray(den.T), engine, counter, with_report=False)
-    if res.zero_pivot or np.any(np.diag(res.u) == 0.0):
-        raise SignDivergenceError("singular Moebius denominator")
+    eye = np.eye(a.shape[0])
+    if region.kind == "half-plane":
+        return a - region.x * eye
+    num = a - (region.center + region.radius) * eye
+    den = a - (region.center - region.radius) * eye
     # X = num den^-1 from den^T X^T = num^T.
-    y = solve_triangular(res.l, num.T[res.p], lower=True, unit_diag=True, engine=engine,
-                         counter=counter)
-    xt = solve_triangular(res.u, y, engine=engine, counter=counter)
+    try:
+        xt = solve_linear(np.ascontiguousarray(den.T), num.T, engine, counter)
+    except (SingularMatrixError, NonFiniteInputError) as exc:
+        raise SignDivergenceError("singular Moebius denominator") from exc
     return np.ascontiguousarray(xt.T)
 
 
@@ -317,16 +290,17 @@ def _candidate_lines(lo: float, hi: float, min_width: float, budget: int, diag=N
 
 
 def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None,
-                symmetric: bool = False, use_disks: bool = False,
-                counter=None) -> SchurResult:
+                symmetric: bool = False, counter=None) -> SchurResult:
     """Block Schur factorization A = Q T Q^T by recursive spectral splitting.
 
     Regions are vertical bisectors of the block's Gershgorin rectangle,
-    subdivided when a split is rejected; blocks whose region shrinks below
-    sqrt(eps) * ||A|| without an accepted split are flagged as clusters and
-    left unsplit.  Recursion bottoms out at 1x1 blocks and 2x2 blocks
-    (triangularized when the eigenvalues are real, kept as bumps for
-    complex pairs).
+    subdivided when a split is rejected.  When no line is accepted and the
+    block is nonsymmetric with a Gershgorin rectangle of nonzero imaginary
+    extent, circles centered on the real axis are tried next.  Blocks whose
+    region shrinks below sqrt(eps) * ||A|| without an accepted split are
+    flagged as clusters and left unsplit.  Recursion bottoms out at 1x1
+    blocks and 2x2 blocks (triangularized when the eigenvalues are real,
+    kept as bumps for complex pairs).
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -358,9 +332,10 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         regions = [SplitRegion.half_plane(x)
                    for x in _candidate_lines(re_lo, re_hi, min_width, DEFAULT_LINE_BUDGET,
                                              diag=np.diag(block))]
-        if use_disks and not symmetric and im_hi > 0.0:
-            # Circles centered on the real axis separate complex pairs from
-            # real eigenvalues even when the real parts coincide.
+        if not symmetric and im_hi > 0.0:
+            # Tried after every line: circles centered on the real axis
+            # separate complex pairs from real eigenvalues even when the real
+            # parts coincide.
             cx = float(np.mean(np.diag(block)))
             extent = max(im_hi, 0.5 * (re_hi - re_lo))
             for frac in (0.5, 0.25, 0.75, 1.0):
@@ -428,7 +403,6 @@ def _finalize_2x2(t, q, lo):
         return "leaf"
     c, s = v[0] / nv, v[1] / nv
     g = np.array([[c, -s], [s, c]])
-    n = t.shape[0]
     t[lo : lo + 2, :] = g.T @ t[lo : lo + 2, :]
     t[:, lo : lo + 2] = t[:, lo : lo + 2] @ g
     q[:, lo : lo + 2] = q[:, lo : lo + 2] @ g

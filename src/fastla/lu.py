@@ -12,9 +12,10 @@ The upper-right block (step b) is the recursive triangular solve of
 it reads only the strict lower triangle of the compact storage.  Stability
 is conditional on L being well conditioned.  When a report is requested,
 a Hager 1-norm condition estimate of every solved leading block is tracked
-and a warning flag raised above 1e3; without a report (the sign iteration,
-``moebius_apply``, ``solve_linear``) no estimate is made, because each one
-costs five pairs of triangular solves and those callers never read it.
+and a warning flag raised above 1e3; without a report (``solve_linear``, and
+through it the sign iteration and ``moebius_apply``) no estimate is made,
+because each one costs five pairs of triangular solves and those callers
+never read it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ the upper-right equation closes the square.  Every right-hand-side
 update is materialized through the multiplication engine.
 
 2x2 diagonal bumps (complex conjugate pairs of a real Schur form) are
-respected: splits only land on block boundaries and the base case solves
-the (at most 4-dimensional) Kronecker system directly.
+respected: splits only land on block boundaries.  The base case divides
+for a pair of 1x1 blocks and otherwise makes one LAPACK solve of the (at
+most 4-by-4) Kronecker system.
 
 sep(A,B) = sigma_min(K), K = I (x) A - B^T (x) I, comes from Lanczos on
 K^-T K^-1, each step two LAPACK trsyl solves: O(nm(n+m)) flops, plus O(k nm)
@@ -192,32 +193,17 @@ def _base_solve(a, b, c, counter):
         if counter is not None:
             counter.count(mults=1, adds=1)
         return np.array([[-c[0, 0] / (a[0, 0] - b[0, 0])]])
-    # Bumps: solve the dense Kronecker system of size n*m <= 4.
-    k = np.kron(np.eye(m), a) - np.kron(b.T, np.eye(n))
-    rhs = -c.flatten(order="F")
-    x = _small_solve(k, rhs, counter)
-    return x.reshape((m, n)).T
-
-
-def _small_solve(k, rhs, counter):
-    k = k.copy()
-    x = rhs.astype(np.float64).copy()
-    n = k.shape[0]
-    for j in range(n):
-        piv = j + int(np.argmax(np.abs(k[j:, j])))
-        if k[piv, j] == 0.0:
-            raise SylvesterSingularError("singular bump system in sylr base case")
-        if piv != j:
-            k[[j, piv]] = k[[piv, j]]
-            x[[j, piv]] = x[[piv, j]]
-        mult = k[j + 1 :, j] / k[j, j]
-        k[j + 1 :, j + 1 :] -= np.outer(mult, k[j, j + 1 :])
-        x[j + 1 :] -= mult * x[j]
-    for j in range(n - 1, -1, -1):
-        x[j] = (x[j] - k[j, j + 1 :] @ x[j + 1 :]) / k[j, j]
+    # Bumps: one LAPACK solve of the Kronecker system of size k = n*m <= 4,
+    # tallied as Gaussian elimination with back substitution.
+    k = n * m
+    kron = np.kron(np.eye(m), a) - np.kron(b.T, np.eye(n))
+    try:
+        x = np.linalg.solve(kron, -c.flatten(order="F"))
+    except np.linalg.LinAlgError as exc:
+        raise SylvesterSingularError("singular bump system in sylr base case") from exc
     if counter is not None:
-        counter.count(mults=n * n * n // 3 + n * n, adds=n * n * n // 3 + n * n)
-    return x
+        counter.count(mults=k * k * k // 3 + k * k, adds=k * k * k // 3 + k * k)
+    return x.reshape((m, n)).T
 
 
 # ---------------------------------------------------------------------------

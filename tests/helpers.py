@@ -123,6 +123,14 @@ def planted_nonsymmetric(n: int, eigs, rng: RngStream, bump_scale: float = 0.5):
     return q @ t @ q.T, np.asarray(lam)
 
 
+def pair_over_zero() -> np.ndarray:
+    """A 3x3 with eigenvalues 0 and +-2i, Haar-rotated: every vertical line
+    crosses the spectrum or leaves it on one side, and only a circle
+    splits it."""
+    q = haar_orthogonal(3, RngStream(7).split(9))
+    return q @ np.array([[0.0, 2.0, 0.3], [-2.0, 0.0, 0.1], [0.0, 0.0, 0.0]]) @ q.T
+
+
 def match_eigs(found, expected) -> float:
     """Max matching distance between two complex multisets (greedy)."""
     found = list(found)

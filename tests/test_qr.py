@@ -79,7 +79,6 @@ class TestQrrBasics:
         np.testing.assert_array_equal(qfull, q2)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", ["qrr", "lur", "rurv", "tri_inv", "spd_inv", "gen_inv",
                                    "solve_via_inverse"])

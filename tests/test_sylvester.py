@@ -157,7 +157,6 @@ class TestSepEstimate:
                     assert sep_estimate(sa, sb).value >= parent - 1e-10
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry, where", [("sylr", (0, 3)), ("sylr", (0, 7)),
                                           ("sep_estimate", (0, 3)), ("sep_estimate", (4, 7)),
