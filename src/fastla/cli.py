@@ -212,17 +212,10 @@ def cmd_eig(args) -> int:
     rng = RngStream(args.seed)
     n = a.shape[0]
     results: dict = {}
-    if args.symmetric:
-        q, lam = eig.symmetric_eig(a, engine, rng)
-        t = np.diag(lam)
-        tree = []
-        flags = []
-    else:
-        res = eig.schur_dandc(a, engine, rng)
-        q, t, tree, flags = res.q, res.t, res.tree, res.flags
+    res = eig.schur_dandc(a, engine, rng, symmetric=args.symmetric)
+    q, t, flags, splits = res.q, res.t, res.flags, res.n_splits
     resid = norm(a - q @ t @ q.T, FROBENIUS) / max(norm(a, FROBENIUS), 1e-300)
     orth = norm(q.T @ q - np.eye(n), FROBENIUS)
-    splits = sum(1 for node in tree if node.get("kind") == "split") if tree else n
     bound = 10.0 * max(splits, 1) * eig.default_split_tol(n)
     if args.out:
         write_matrix(args.out + ".t.mat", t)
@@ -238,14 +231,19 @@ def cmd_eig(args) -> int:
         except (sylvester.NotTriangularError, baseline.SylvesterSingularError) as exc:
             flags = list(flags) + [f"vectors-unavailable: {exc}"]
     passed = resid <= bound and orth <= 1e3 * n * n * EPS and not flags
+
+    def rounded(v):  # a circle's line is a (center, radius) tuple
+        if isinstance(v, tuple):
+            return [_round(x) for x in v]
+        return _round(v) if isinstance(v, float) else v
+
     results.update({
         "residual": _round(resid),
         "orth_defect": _round(orth),
         "bound": _round(bound),
         "splits": splits,
         "flags": flags,
-        "tree": [{k: (_round(v) if isinstance(v, float) else v) for k, v in node.items()}
-                 for node in tree],
+        "tree": [{k: rounded(v) for k, v in node.items()} for node in res.tree],
     })
     _emit(args, _base_payload(args, results, passed), started)
     return 0 if passed else 1

@@ -81,9 +81,6 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
 
-    def uniforms(self, count: int) -> np.ndarray:
-        return self.generator().random(count)
-
     def gaussians(self, count: int) -> np.ndarray:
         """i.i.d. N(0,1) via Box-Muller on the stream's uniforms."""
         pairs = (count + 1) // 2

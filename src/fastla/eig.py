@@ -18,11 +18,13 @@ centered on the real axis, and complex conjugate pairs terminate as 2x2
 quasi-triangular bumps.
 
 The symmetric eigenproblem is the same driver with every compressed
-block re-symmetrized.  The SVD goes through the polar decomposition
-A = W H (Nakatsukasa & Higham, SISC 2013): W comes from the QR-based
-dynamically weighted Halley iteration (QDWH; Nakatsukasa, Bai & Gygi,
-SIMAX 2010), which needs only ``qrr`` and products, and the symmetric
-driver runs once on the n-by-n H = W^T A.  ``svd_via_gram`` keeps the name
+block re-symmetrized.  ``schur_dandc(symmetric=True)`` holds the symmetry
+check (1e-12 relative in the Frobenius norm, after the finiteness check),
+and ``symmetric_eig`` is that call plus a sort.  The SVD goes through the
+polar decomposition A = W H (Nakatsukasa & Higham, SISC 2013): W comes
+from the QR-based dynamically weighted Halley iteration (QDWH;
+Nakatsukasa, Bai & Gygi, SIMAX 2010), which needs only ``qrr`` and
+products, and the symmetric driver runs once on the n-by-n H = W^T A.  ``svd_via_gram`` keeps the name
 of the Gram-matrix route it replaced because its callers use that name.
 """
 
@@ -250,13 +252,14 @@ def gershgorin_rectangle(a):
     return (re_lo, re_hi), (-im, im)
 
 
-def _candidate_lines(lo: float, hi: float, min_width: float, budget: int, diag=None):
+def _candidate_lines(lo: float, hi: float, min_width: float, diag):
     """Dividing-line candidates inside [lo, hi].
 
-    Starts with midpoints between sorted diagonal entries (which track the
-    eigenvalue real parts of a compressed block much better than the raw
-    Gershgorin box), then falls back to breadth-first bisection midpoints
-    of the interval.
+    Starts with the mean of ``diag`` and the midpoints between its sorted
+    entries (which track the eigenvalue real parts of a compressed block
+    much better than the raw Gershgorin box), then falls back to
+    breadth-first bisection midpoints of the interval, DEFAULT_LINE_BUDGET
+    candidates at most.
     """
     out = []
 
@@ -264,25 +267,23 @@ def _candidate_lines(lo: float, hi: float, min_width: float, budget: int, diag=N
         if lo < x < hi and all(abs(x - y) > max(min_width, 1e-300) for y in out):
             out.append(x)
 
-    if diag is not None and len(diag) > 1:
-        arr = np.asarray(diag, dtype=np.float64)
-        # The trace mean is the exact mean of the eigenvalue real parts and
-        # frequently lands inside a spectral gap.
-        push(float(np.mean(arr)))
-        centers = np.sort(arr)
-        mids = 0.5 * (centers[:-1] + centers[1:])
-        order = np.argsort(np.abs(np.arange(len(mids)) - (len(mids) - 1) / 2.0))
-        for idx in order:
-            push(float(mids[idx]))
+    # The trace mean is the exact mean of the eigenvalue real parts and
+    # frequently lands inside a spectral gap.
+    push(float(np.mean(diag)))
+    centers = np.sort(diag)
+    mids = 0.5 * (centers[:-1] + centers[1:])
+    order = np.argsort(np.abs(np.arange(len(mids)) - (len(mids) - 1) / 2.0))
+    for idx in order:
+        push(float(mids[idx]))
     queue = [(lo, hi)]
-    while queue and len(out) < budget:
+    while queue and len(out) < DEFAULT_LINE_BUDGET:
         a, b = queue.pop(0)
         if b - a <= min_width:
             continue
         push(0.5 * (a + b))
         queue.append((a, 0.5 * (a + b)))
         queue.append((0.5 * (a + b), b))
-    return out[:budget]
+    return out[:DEFAULT_LINE_BUDGET]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +301,8 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     region shrinks below sqrt(eps) * ||A|| without an accepted split are
     flagged as clusters and left unsplit.  Recursion bottoms out at 1x1
     blocks and 2x2 blocks (triangularized when the eigenvalues are real,
-    kept as bumps for complex pairs).
+    kept as bumps for complex pairs).  With ``symmetric=True``, an input
+    that is not symmetric to 1e-12 relative raises DimensionError.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -308,6 +310,8 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         raise DimensionError("schur_dandc requires a square matrix")
     # The region search would bisect a NaN Gershgorin box without end.
     require_finite("schur_dandc", a)
+    if symmetric and float(np.linalg.norm(a - a.T)) > 1e-12 * max(norm(a, FROBENIUS), 1e-300):
+        raise DimensionError("schur_dandc(symmetric=True) requires a symmetric matrix")
     rng = rng or RngStream(0)
     t = a.copy()
     if symmetric:
@@ -330,8 +334,7 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         block = t[lo:hi, lo:hi].copy()
         (re_lo, re_hi), (im_lo, im_hi) = gershgorin_rectangle(block)
         regions = [SplitRegion.half_plane(x)
-                   for x in _candidate_lines(re_lo, re_hi, min_width, DEFAULT_LINE_BUDGET,
-                                             diag=np.diag(block))]
+                   for x in _candidate_lines(re_lo, re_hi, min_width, np.diag(block))]
         if not symmetric and im_hi > 0.0:
             # Tried after every line: circles centered on the real axis
             # separate complex pairs from real eigenvalues even when the real
@@ -418,13 +421,10 @@ def symmetric_eig(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = No
                   counter=None):
     """Eigendecomposition of a symmetric matrix: A = Q diag(lam) Q^T.
 
-    A specialization of the Schur driver with every compressed block
-    re-symmetrized; eigenvalues are returned in descending order.
+    The Schur driver with ``symmetric=True``, which rejects an asymmetric
+    input and re-symmetrizes every compressed block; eigenvalues are
+    returned in descending order.
     """
-    a = as_matrix(a)
-    require_finite("symmetric_eig", a)
-    if float(np.linalg.norm(a - a.T)) > 1e-12 * max(norm(a, FROBENIUS), 1e-300):
-        raise DimensionError("symmetric_eig requires a symmetric matrix")
     res = schur_dandc(a, engine, rng, symmetric=True, counter=counter)
     lam = np.diag(res.t).copy()
     order = np.argsort(-lam)
@@ -579,10 +579,8 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         a_blk = t[lo:mid, lo:mid]
         b_blk = t[mid:hi, mid:hi]
         c_blk = t[lo:mid, mid:hi]
-        ab = [x - lo for x in bounds[bi_lo : mid_idx + 1]]
-        bb = [x - mid for x in bounds[mid_idx : bi_hi + 1]]
-        r, _ = sylr(a_blk, b_blk, c_blk, engine, counter, ab, bb, with_report=False)
-        est = sep_estimate(a_blk, b_blk, ab, bb)
+        r, _ = sylr(a_blk, b_blk, c_blk, engine, counter, with_report=False)
+        est = sep_estimate(a_blk, b_blk)
         seps.append(est.value)
         if est.is_upper_bound:
             flags.append(f"sep-upper-bound:{lo}:{hi}")

@@ -68,5 +68,4 @@ class StabilityReport:
 
     residual: float
     orth_defect: float = 0.0
-    cond_estimate: float | None = None
     flags: list = field(default_factory=list)

@@ -34,7 +34,6 @@ class UrvResult:
     r: np.ndarray
     v: np.ndarray
     report: StabilityReport
-    seed: RngStream
 
 
 @dataclass
@@ -81,7 +80,7 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
     v = haar_orthogonal(n, rng, engine)
     ahat = multiply(a, np.ascontiguousarray(v.T), engine, counter)
     ures = qrr(ahat, engine, counter, with_report=False)
-    result = UrvResult(u=ures.q, r=ures.r, v=v, report=StabilityReport(0.0), seed=rng)
+    result = UrvResult(u=ures.q, r=ures.r, v=v, report=StabilityReport(0.0))
     if with_report:
         recon = reconstruct(result, engine)
         na = norm(a, FROBENIUS)

@@ -1,13 +1,18 @@
 """Recursive Sylvester solver with sep(A,B) conditioning diagnostics.
 
 ``sylr`` solves A R - R B = -C for (quasi-)upper-triangular A and B by
-splitting all blocks in half: the lower-left equation is solved first,
-its solution feeds the right-hand sides of the diagonal equations, and
-the upper-right equation closes the square.  Every right-hand-side
-update is materialized through the multiplication engine.
+splitting one operand in two (Jonsson & Kagstrom, ACM TOMS 2002): the one
+with more diagonal blocks, B on a tie.  Splitting B solves for R's left
+columns first and feeds them through C2 - R1 B12 to the right ones;
+splitting A solves for R's bottom rows first and feeds them through
+C1 + A12 R2 to the top ones.  With equal block counts, the B split and
+then the A split in each half make the classic four-way step.  Every
+right-hand-side update is materialized through the multiplication
+engine.
 
-2x2 diagonal bumps (complex conjugate pairs of a real Schur form) are
-respected: splits only land on block boundaries.  The base case divides
+The block patterns are read from the operands: a nonzero subdiagonal
+entry opens a 2x2 bump (a complex conjugate pair of a real Schur form),
+and splits only land on block boundaries.  The base case divides
 for a pair of 1x1 blocks and otherwise makes one LAPACK solve of the (at
 most 4-by-4) Kronecker system.
 
@@ -72,11 +77,10 @@ def block_boundaries(t) -> list:
     return bounds
 
 
-def block_eigenvalues(t, bounds=None) -> np.ndarray:
+def block_eigenvalues(t) -> np.ndarray:
     """Complex eigenvalues of a quasi-triangular matrix, block by block."""
     t = as_matrix(t)
-    if bounds is None:
-        bounds = block_boundaries(t)
+    bounds = block_boundaries(t)
     eigs = []
     for lo, hi in zip(bounds, bounds[1:]):
         if hi - lo == 1:
@@ -94,24 +98,31 @@ def block_eigenvalues(t, bounds=None) -> np.ndarray:
     return np.asarray(eigs)
 
 
-def _check_pattern(t, bounds, name):
+def _checked_blocks(t, name) -> np.ndarray:
+    """t's block boundaries, after checking that t is zero below its blocks."""
+    bounds = block_boundaries(t)
     mask = np.tril(np.ones(t.shape, dtype=bool), -1)
     for lo, hi in zip(bounds, bounds[1:]):
         mask[lo:hi, lo:hi] = False
     if np.any(t[mask] != 0.0):
         raise NotTriangularError(f"{name} is not upper triangular outside its blocks")
+    return np.asarray(bounds)
 
 
-def min_spectral_gap(a, b, a_blocks=None, b_blocks=None) -> float:
+def min_spectral_gap(a, b) -> float:
     """min |lambda_i(A) - mu_j(B)| over the block spectra."""
-    la = block_eigenvalues(a, a_blocks)
-    lb = block_eigenvalues(b, b_blocks)
+    la = block_eigenvalues(a)
+    lb = block_eigenvalues(b)
     return float(np.min(np.abs(la[:, None] - lb[None, :])))
 
 
-def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None,
-         a_blocks=None, b_blocks=None, with_report: bool = True):
-    """Solve A R - R B = -C recursively; returns (R, StabilityReport)."""
+def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None, with_report: bool = True):
+    """Solve A R - R B = -C recursively; returns (R, StabilityReport).
+
+    The block patterns of A and B are read from their subdiagonals.  Each
+    step splits the operand with more diagonal blocks, B on a tie, at the
+    block boundary nearest its middle.
+    """
     a = as_matrix(a)
     b = as_matrix(b)
     c = as_matrix(c)
@@ -119,13 +130,11 @@ def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None,
     if a.shape != (n, n) or b.shape != (m, m):
         raise DimensionError("sylr shape mismatch")
     require_finite("sylr", a, b, c)
-    ab = a_blocks if a_blocks is not None else block_boundaries(a)
-    bb = b_blocks if b_blocks is not None else block_boundaries(b)
-    _check_pattern(a, ab, "A")
-    _check_pattern(b, bb, "B")
-    if min_spectral_gap(a, b, ab, bb) == 0.0:
+    ab = _checked_blocks(a, "A")
+    bb = _checked_blocks(b, "B")
+    if min_spectral_gap(a, b) == 0.0:
         raise SylvesterSingularError("spectra of A and B are not disjoint")
-    r = _sylr_rec(a, b, c, engine, counter, np.asarray(ab), np.asarray(bb))
+    r = _sylr_rec(a, b, c, engine, counter, ab, bb)
     if not with_report:
         return r, StabilityReport(0.0)
     resid = norm(a @ r - r @ b + c, FROBENIUS)
@@ -141,50 +150,25 @@ def _nearest_cut(bounds, target):
 
 def _sylr_rec(a, b, c, engine, counter, ab, bb):
     n, m = c.shape
-    a_atomic = len(ab) == 2
-    b_atomic = len(bb) == 2
-    if a_atomic and b_atomic:
+    if len(ab) == 2 and len(bb) == 2:
         return _base_solve(a, b, c, counter)
-    if a_atomic:
+    if len(bb) >= len(ab):
+        # R = [R1, R2]: A R1 - R1 B11 = -C1, then A R2 - R2 B22 = -(C2 - R1 B12).
         sb = _nearest_cut(bb, m / 2.0)
-        bb_l = bb[bb <= sb]
-        bb_r = bb[bb >= sb] - sb
-        r1 = _sylr_rec(a, b[:sb, :sb], c[:, :sb], engine, counter, ab, bb_l)
+        r1 = _sylr_rec(a, b[:sb, :sb], c[:, :sb], engine, counter, ab, bb[bb <= sb])
         c2 = c[:, sb:] - multiply(r1, b[:sb, sb:], engine, counter)
         if counter is not None:
             counter.count(adds=c2.size)
-        r2 = _sylr_rec(a, b[sb:, sb:], c2, engine, counter, ab, bb_r)
+        r2 = _sylr_rec(a, b[sb:, sb:], c2, engine, counter, ab, bb[bb >= sb] - sb)
         return np.hstack([r1, r2])
-    if b_atomic:
-        sa = _nearest_cut(ab, n / 2.0)
-        ab_t = ab[ab <= sa]
-        ab_b = ab[ab >= sa] - sa
-        r2 = _sylr_rec(a[sa:, sa:], b, c[sa:, :], engine, counter, ab_b, bb)
-        c1 = c[:sa, :] + multiply(a[:sa, sa:], r2, engine, counter)
-        if counter is not None:
-            counter.count(adds=c1.size)
-        r1 = _sylr_rec(a[:sa, :sa], b, c1, engine, counter, ab_t, bb)
-        return np.vstack([r1, r2])
+    # R = [R1; R2]: A22 R2 - R2 B = -C2, then A11 R1 - R1 B = -(C1 + A12 R2).
     sa = _nearest_cut(ab, n / 2.0)
-    sb = _nearest_cut(bb, m / 2.0)
-    ab_t = ab[ab <= sa]
-    ab_b = ab[ab >= sa] - sa
-    bb_l = bb[bb <= sb]
-    bb_r = bb[bb >= sb] - sb
-    a11, a12, a22 = a[:sa, :sa], a[:sa, sa:], a[sa:, sa:]
-    b11, b12, b22 = b[:sb, :sb], b[:sb, sb:], b[sb:, sb:]
-    r21 = _sylr_rec(a22, b11, c[sa:, :sb], engine, counter, ab_b, bb_l)
-    c11 = c[:sa, :sb] + multiply(a12, r21, engine, counter)
-    c22 = c[sa:, sb:] - multiply(r21, b12, engine, counter)
+    r2 = _sylr_rec(a[sa:, sa:], b, c[sa:, :], engine, counter, ab[ab >= sa] - sa, bb)
+    c1 = c[:sa, :] + multiply(a[:sa, sa:], r2, engine, counter)
     if counter is not None:
-        counter.count(adds=c11.size + c22.size)
-    r11 = _sylr_rec(a11, b11, c11, engine, counter, ab_t, bb_l)
-    r22 = _sylr_rec(a22, b22, c22, engine, counter, ab_b, bb_r)
-    c12 = c[:sa, sb:] - multiply(r11, b12, engine, counter) + multiply(a12, r22, engine, counter)
-    if counter is not None:
-        counter.count(adds=2 * c12.size)
-    r12 = _sylr_rec(a11, b22, c12, engine, counter, ab_t, bb_r)
-    return np.vstack([np.hstack([r11, r12]), np.hstack([r21, r22])])
+        counter.count(adds=c1.size)
+    r1 = _sylr_rec(a[:sa, :sa], b, c1, engine, counter, ab[ab <= sa], bb)
+    return np.vstack([r1, r2])
 
 
 def _base_solve(a, b, c, counter):
@@ -210,7 +194,7 @@ def _base_solve(a, b, c, counter):
 # sep(A, B)
 
 
-def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
+def sep_estimate(a, b) -> SepEstimate:
     """sigma_min(I (x) A - B^T (x) I) by Lanczos on M = K^-T K^-1.
 
     Lanczos with full reorthogonalisation from a seeded Gaussian gives the
@@ -229,11 +213,9 @@ def sep_estimate(a, b, a_blocks=None, b_blocks=None) -> SepEstimate:
     b = as_matrix(b)
     require_finite("sep_estimate", a, b)
     n, m = a.shape[0], b.shape[0]
-    ab = a_blocks if a_blocks is not None else block_boundaries(a)
-    bb = b_blocks if b_blocks is not None else block_boundaries(b)
-    _check_pattern(a, ab, "A")
-    _check_pattern(b, bb, "B")
-    if min_spectral_gap(a, b, ab, bb) == 0.0:
+    _checked_blocks(a, "A")
+    _checked_blocks(b, "B")
+    if min_spectral_gap(a, b) == 0.0:
         return SepEstimate(value=0.0)
 
     def solve(x, trans):  # K^-1 x for trans "N", K^-T x for "T"

@@ -131,6 +131,17 @@ def pair_over_zero() -> np.ndarray:
     return q @ np.array([[0.0, 2.0, 0.3], [-2.0, 0.0, 0.1], [0.0, 0.0, 0.0]]) @ q.T
 
 
+def tiny_tail_embedding() -> np.ndarray:
+    """H = [[0, A], [A^T, 0]] for A = P diag(s) Q^T with P, Q Haar from
+    RngStream(2024) and s 32 values in [1, 2] plus a tail from 1e-8 down to
+    1e-12: 64 eigenvalues of H sit within 1e-8 of 0, where no dividing line
+    of the driver splits them."""
+    p = haar_orthogonal(64, RngStream(2024).split(0))
+    q = haar_orthogonal(64, RngStream(2024).split(1))
+    a = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 32), np.logspace(-8, -12, 32)])) @ q.T
+    return np.block([[np.zeros((64, 64)), a], [a.T, np.zeros((64, 64))]])
+
+
 def match_eigs(found, expected) -> float:
     """Max matching distance between two complex multisets (greedy)."""
     found = list(found)

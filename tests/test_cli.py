@@ -7,7 +7,7 @@ import pytest
 from fastla.cli import main, payload_bytes
 from fastla.core import EPS, RngStream, gaussian_matrix, read_matrix, write_matrix
 
-from helpers import pair_over_zero, random_triangular
+from helpers import pair_over_zero, random_triangular, tiny_tail_embedding
 
 
 @pytest.fixture
@@ -118,6 +118,8 @@ class TestDecomposeOutputs:
         assert run(["eig", "--in", workdir / "pair.mat", "--report", rep]) == 0
         results = json.loads(rep.read_text())["payload"]["results"]
         assert results["splits"] == 1
+        (line,) = [node["line"] for node in results["tree"] if node["kind"] == "split"]
+        assert len(line) == 2 and all(x == float(f"{x:.12e}") for x in line)
         # Circles are the driver's own choice; the old switch is gone.
         with pytest.raises(SystemExit) as exc:
             run(["eig", "--in", workdir / "pair.mat", "--disks"])
@@ -127,6 +129,23 @@ class TestDecomposeOutputs:
         a = read_matrix(workdir / "spd.mat")
         assert run(["eig", "--in", workdir / "spd.mat", "--symmetric", "--seed", 3,
                     "--report", workdir / "eigs.json"]) == 0
+        assert run(["eig", "--in", workdir / "A.mat", "--symmetric"]) == 2
+
+    def test_eig_symmetric_reports_driver(self, workdir):
+        # The payload is the driver's: its splits, tree and cluster flag,
+        # and its T, not the diagonal of a sorted eigenvalue list.
+        write_matrix(workdir / "h.mat", tiny_tail_embedding())
+        rep = workdir / "h.json"
+        assert run(["eig", "--in", workdir / "h.mat", "--symmetric", "--out", workdir / "h",
+                    "--report", rep]) == 1
+        results = json.loads(rep.read_text())["payload"]["results"]
+        assert results["splits"] == 0
+        assert results["flags"] == ["cluster:0:128"]
+        assert [node["kind"] for node in results["tree"]] == ["cluster"]
+        h = read_matrix(workdir / "h.mat")
+        t = read_matrix(f"{workdir}/h.t.mat")
+        q = read_matrix(f"{workdir}/h.q.mat")
+        assert np.linalg.norm(h - q @ t @ q.T) <= 1e-12 * np.linalg.norm(h)
 
     def test_svd(self, workdir):
         rep = workdir / "svd.json"

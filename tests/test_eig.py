@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
+from fastla.core import EPS, DimensionError, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
@@ -227,8 +227,12 @@ class TestSymmetricEig:
         assert norm(q.T @ q - np.eye(n)) <= 1e3 * n * n * EPS
 
     def test_asymmetric_rejected(self, rng):
-        with pytest.raises(Exception):
-            symmetric_eig(gaussian_matrix(4, 4, rng), rng=rng)
+        # The check lives in the driver, so both entry points raise.
+        a = gaussian_matrix(4, 4, rng)
+        with pytest.raises(DimensionError):
+            symmetric_eig(a, rng=rng)
+        with pytest.raises(DimensionError):
+            schur_dandc(a, rng=rng, symmetric=True)
 
 
 class TestSvdViaGram:

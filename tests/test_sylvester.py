@@ -6,7 +6,7 @@ from fastla import sylvester
 from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import SylvesterSingularError, conventional_sylvester, jacobi_svd
 from fastla.eig import evecr
-from fastla.matmul import MmEngine
+from fastla.matmul import MmEngine, OpCounter
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
                               block_eigenvalues, predicted_sylr_bound, sep_estimate, sylr,
                               sylr_oracle_equivalence)
@@ -59,6 +59,18 @@ class TestSylr:
         bound = predicted_sylr_bound(64, norm(a), norm(b), sep,
                                      engine_mu_constant(engine))
         assert norm(r - r_true) / norm(r_true) <= bound
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (12, 3), (20, 20),
+                                       (31, 17), (64, 64)])
+    def test_conventional_tally(self, shape, rng):
+        # Entry (i, j) of R costs one multiply and one add per coupled entry
+        # of A's row i and B's column j, its pivot included: n m (n + m) / 2
+        # of each in all, however the recursion splits.
+        n, m = shape
+        a, b, c = _well_separated(n, m, rng.split(n * 100 + m))
+        counter = OpCounter()
+        sylr(a, b, c, CONV, counter, with_report=False)
+        assert counter.scalar_mults == counter.scalar_adds == n * m * (n + m) // 2
 
     def test_spectra_overlap_rejected(self):
         a = np.diag([1.0, 2.0])
