@@ -13,9 +13,12 @@ split is accepted only when that norm is below the backward-error budget,
 retrying with a fresh random factorization a few times and subdividing the
 region after that.
 
-Real arithmetic throughout: dividing lines are vertical, circles are
-centered on the real axis, and complex conjugate pairs terminate as 2x2
-quasi-triangular bumps.
+Real arithmetic throughout: dividing lines are vertical, and circles are
+centered on the real axis.  A block of at most EIG_LEAF rows is not split:
+one LAPACK call finishes it (a symmetric eigendecomposition, or a real
+Schur form whose complex conjugate pairs are standardized 2x2 bumps), and
+its orthogonal factor is applied as an accepted split's is.  The paper's
+cost claim is asymptotic, and a leaf of constant size b adds O(n b^2) work.
 
 The symmetric eigenproblem is the same driver with every compressed
 block re-symmetrized.  ``schur_dandc(symmetric=True)`` holds the symmetry
@@ -48,6 +51,13 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_SIGN_ITERS = 40
 SIGN_CONV_TOL = math.sqrt(EPS)
 DEFAULT_LINE_BUDGET = 7
+# Blocks of at most this many rows finish with one LAPACK call (see
+# _leaf_schur): below it a split's sign iteration and RURV cost mostly
+# Python overhead.  A larger leaf is faster still, but hands more of each
+# input to LAPACK: at 32, a 64-row input is split only once, and clusters
+# of up to 32 rows that no dividing line splits would end in leaves,
+# hiding the region search's weakness on them rather than fixing it.
+EIG_LEAF = 16
 POLAR_L0 = EPS  # assumed lower bound on sigma_min(A) / ||A||_F in the polar iteration
 EVEC_EXPONENT = 3.0  # calibrated c' in the eigenvector error bound
 
@@ -264,26 +274,31 @@ def _candidate_lines(lo: float, hi: float, min_width: float, diag):
     out = []
 
     def push(x):
+        """Add x if it is new; True once the budget is full."""
         if lo < x < hi and all(abs(x - y) > max(min_width, 1e-300) for y in out):
             out.append(x)
+        return len(out) == DEFAULT_LINE_BUDGET
 
     # The trace mean is the exact mean of the eigenvalue real parts and
     # frequently lands inside a spectral gap.
-    push(float(np.mean(diag)))
+    if push(float(np.mean(diag))):
+        return out
     centers = np.sort(diag)
     mids = 0.5 * (centers[:-1] + centers[1:])
     order = np.argsort(np.abs(np.arange(len(mids)) - (len(mids) - 1) / 2.0))
     for idx in order:
-        push(float(mids[idx]))
+        if push(float(mids[idx])):
+            return out
     queue = [(lo, hi)]
-    while queue and len(out) < DEFAULT_LINE_BUDGET:
+    while queue:
         a, b = queue.pop(0)
         if b - a <= min_width:
             continue
-        push(0.5 * (a + b))
+        if push(0.5 * (a + b)):
+            return out
         queue.append((a, 0.5 * (a + b)))
         queue.append((0.5 * (a + b), b))
-    return out[:DEFAULT_LINE_BUDGET]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +314,12 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     block is nonsymmetric with a Gershgorin rectangle of nonzero imaginary
     extent, circles centered on the real axis are tried next.  Blocks whose
     region shrinks below sqrt(eps) * ||A|| without an accepted split are
-    flagged as clusters and left unsplit.  Recursion bottoms out at 1x1
-    blocks and 2x2 blocks (triangularized when the eigenvalues are real,
-    kept as bumps for complex pairs).  With ``symmetric=True``, an input
-    that is not symmetric to 1e-12 relative raises DimensionError.
+    flagged as clusters and left unsplit.  A block of at most EIG_LEAF
+    rows is not split but finished by ``_leaf_schur`` (tree node
+    ``{"kind": "leaf", "lo", "hi"}``), so T is quasi-upper-triangular with
+    LAPACK's standardized 2x2 bumps for complex pairs, and diagonal on
+    the leaves when symmetric.  With ``symmetric=True``, an input that is
+    not symmetric to 1e-12 relative raises DimensionError.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -323,13 +340,23 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     min_width = math.sqrt(EPS) * scale
     node_counter = [0]
 
+    def rotate(lo: int, hi: int, z):
+        """Apply the block's orthogonal factor z outside its diagonal block."""
+        if lo > 0:
+            t[:lo, lo:hi] = multiply(t[:lo, lo:hi], z, engine, counter)
+        if hi < n:
+            t[lo:hi, hi:] = multiply(np.ascontiguousarray(z.T), t[lo:hi, hi:],
+                                     engine, counter)
+        q[:, lo:hi] = multiply(q[:, lo:hi], z, engine, counter)
+
     def process(lo: int, hi: int):
         size = hi - lo
         if size == 1:
             return
-        if size == 2:
-            kind = _finalize_2x2(t, q, lo)
-            tree.append({"kind": kind, "lo": lo, "hi": hi})
+        if size <= EIG_LEAF:
+            t[lo:hi, lo:hi], z = _leaf_schur(t[lo:hi, lo:hi], symmetric, counter)
+            rotate(lo, hi, z)
+            tree.append({"kind": "leaf", "lo": lo, "hi": hi})
             return
         block = t[lo:hi, lo:hi].copy()
         (re_lo, re_hi), (im_lo, im_hi) = gershgorin_rectangle(block)
@@ -366,14 +393,8 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
             ahat[:r, r:] = 0.0
             ahat[:r, :r] = 0.5 * (ahat[:r, :r] + ahat[:r, :r].T)
             ahat[r:, r:] = 0.5 * (ahat[r:, r:] + ahat[r:, r:].T)
-        qbar = outcome.q
         t[lo:hi, lo:hi] = ahat
-        if lo > 0:
-            t[:lo, lo:hi] = multiply(t[:lo, lo:hi], qbar, engine, counter)
-        if hi < n:
-            t[lo:hi, hi:] = multiply(np.ascontiguousarray(qbar.T), t[lo:hi, hi:],
-                                     engine, counter)
-        q[:, lo:hi] = multiply(q[:, lo:hi], qbar, engine, counter)
+        rotate(lo, hi, outcome.q)
         tree.append({
             "kind": "split", "lo": lo, "hi": hi, "line": line, "r": r,
             "norm_a21": outcome.norm_a21, "attempts": outcome.attempts,
@@ -385,32 +406,31 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     return SchurResult(q=q, t=t, tree=tree, flags=flags)
 
 
-def _finalize_2x2(t, q, lo):
-    """Triangularize a trailing 2x2 block when its eigenvalues are real."""
-    b = t[lo : lo + 2, lo : lo + 2]
-    if b[1, 0] == 0.0:
-        return "leaf"
-    tr = b[0, 0] + b[1, 1]
-    disc = (b[0, 0] - b[1, 1]) ** 2 + 4.0 * b[0, 1] * b[1, 0]
-    if disc < 0.0:
-        return "bump"
-    root = math.sqrt(disc)
-    lam = 0.5 * (tr + root) if tr >= 0.0 else 0.5 * (tr - root)
-    if lam == 0.0:
-        lam = 0.5 * (tr + root)
-    v1 = np.array([b[0, 1], lam - b[0, 0]])
-    v2 = np.array([lam - b[1, 1], b[1, 0]])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return "leaf"
-    c, s = v[0] / nv, v[1] / nv
-    g = np.array([[c, -s], [s, c]])
-    t[lo : lo + 2, :] = g.T @ t[lo : lo + 2, :]
-    t[:, lo : lo + 2] = t[:, lo : lo + 2] @ g
-    q[:, lo : lo + 2] = q[:, lo : lo + 2] @ g
-    t[lo + 1, lo] = 0.0
-    return "leaf"
+def _leaf_schur(block, symmetric, counter):
+    """(T, Z) with block = Z T Z^T, from one LAPACK call.
+
+    Symmetric: ``np.linalg.eigh``, T = diag(lambda), about 9 b^3 flops for
+    a b-row block.  Otherwise: ``scipy.linalg.schur(block, output="real")``,
+    T quasi-upper-triangular with standardized 2x2 bumps (equal diagonal,
+    off-diagonal entries of opposite sign) for complex pairs, about 25 b^3
+    flops (Golub & Van Loan, Matrix Computations, 4th ed., 8.3 and 7.5).
+    The leaf is tallied as exactly that many flops, 9 b^3 or 25 b^3, half
+    of them (rounded down) multiplications.
+    """
+    b = block.shape[0]
+    if symmetric:
+        lam, z = np.linalg.eigh(block)
+        tb = np.diag(lam)
+    else:
+        # Imported here: ``import fastla`` does not load scipy (~0.3 s).
+        from scipy.linalg import schur
+
+        tb, z = schur(block, output="real")
+        tb = np.triu(tb, -1)
+    if counter is not None:
+        flops = (9 if symmetric else 25) * b ** 3
+        counter.count(mults=flops // 2, adds=flops - flops // 2)
+    return tb, z
 
 
 # ---------------------------------------------------------------------------

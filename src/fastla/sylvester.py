@@ -178,9 +178,15 @@ def _base_solve(a, b, c, counter):
             counter.count(mults=1, adds=1)
         return np.array([[-c[0, 0] / (a[0, 0] - b[0, 0])]])
     # Bumps: one LAPACK solve of the Kronecker system of size k = n*m <= 4,
-    # tallied as Gaussian elimination with back substitution.
+    # tallied as Gaussian elimination with back substitution.  The system
+    # I (x) A - B^T (x) I is filled by index: A on the diagonal blocks,
+    # minus B^T on the entries whose row and column agree mod n.
     k = n * m
-    kron = np.kron(np.eye(m), a) - np.kron(b.T, np.eye(n))
+    kron = np.zeros((k, k))
+    for j in range(m):
+        kron[j * n : (j + 1) * n, j * n : (j + 1) * n] = a
+    for i in range(n):
+        kron[i::n, i::n] -= b.T
     try:
         x = np.linalg.solve(kron, -c.flatten(order="F"))
     except np.linalg.LinAlgError as exc:

@@ -123,12 +123,17 @@ def planted_nonsymmetric(n: int, eigs, rng: RngStream, bump_scale: float = 0.5):
     return q @ t @ q.T, np.asarray(lam)
 
 
-def pair_over_zero() -> np.ndarray:
-    """A 3x3 with eigenvalues 0 and +-2i, Haar-rotated: every vertical line
-    crosses the spectrum or leaves it on one side, and only a circle
-    splits it."""
-    q = haar_orthogonal(3, RngStream(7).split(9))
-    return q @ np.array([[0.0, 2.0, 0.3], [-2.0, 0.0, 0.1], [0.0, 0.0, 0.0]]) @ q.T
+def pairs_over_zero() -> np.ndarray:
+    """A 17x17 with eigenvalues 0 and +-k i for k = 1..8, Haar-rotated:
+    every vertical line crosses the spectrum or leaves it on one side, and
+    only a circle splits it.  It has one row more than the spectral
+    driver's leaf, so the driver has to split it."""
+    n = 17
+    t = np.zeros((n, n))
+    for k in range(1, 9):
+        t[2 * k - 1 : 2 * k + 1, 2 * k - 1 : 2 * k + 1] = [[0.0, k], [-k, 0.0]]
+    q = haar_orthogonal(n, RngStream(7).split(9))
+    return q @ t @ q.T
 
 
 def tiny_tail_embedding() -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from fastla.cli import main, payload_bytes
 from fastla.core import EPS, RngStream, gaussian_matrix, read_matrix, write_matrix
 
-from helpers import pair_over_zero, random_triangular, tiny_tail_embedding
+from helpers import pairs_over_zero, random_triangular, tiny_tail_embedding
 
 
 @pytest.fixture
@@ -102,18 +102,20 @@ class TestDecomposeOutputs:
         assert r.shape == (6, 5)
 
     def test_eig_with_vectors(self, workdir):
+        # 24 rows, more than the driver's leaf, so that it splits.
+        write_matrix(workdir / "G.mat", gaussian_matrix(24, 24, RngStream(24)))
         rep = workdir / "eig.json"
-        assert run(["eig", "--in", workdir / "A.mat", "--seed", 7, "--vectors",
+        assert run(["eig", "--in", workdir / "G.mat", "--seed", 7, "--vectors",
                     "--out", workdir / "eig", "--report", rep]) == 0
         data = json.loads(rep.read_text())
         assert data["payload"]["results"]["splits"] >= 1
         t = read_matrix(f"{workdir}/eig.t.mat")
         q = read_matrix(f"{workdir}/eig.q.mat")
-        a = read_matrix(workdir / "A.mat")
+        a = read_matrix(workdir / "G.mat")
         assert np.linalg.norm(a - q @ t @ q.T) <= 1e-10 * np.linalg.norm(a)
 
     def test_eig_splits_by_circle(self, workdir):
-        write_matrix(workdir / "pair.mat", pair_over_zero())
+        write_matrix(workdir / "pair.mat", pairs_over_zero())
         rep = workdir / "pair.json"
         assert run(["eig", "--in", workdir / "pair.mat", "--report", rep]) == 0
         results = json.loads(rep.read_text())["payload"]["results"]

@@ -5,13 +5,14 @@ from fastla.core import EPS, DimensionError, NonFiniteInputError, RngStream, gau
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
 from fastla.matmul import MmEngine, OpCounter, fit_exponent
-from fastla.eig import (SignDivergenceError, SplitRegion, _polar, default_split_tol, evecr,
+from fastla.eig import (DEFAULT_LINE_BUDGET, EIG_LEAF, SignDivergenceError, SplitRegion,
+                        _candidate_lines, _polar, default_split_tol, evecr,
                         gershgorin_rectangle, norm_a21_profile, schur_dandc,
                         sign_function, split_once, svd_via_gram, symmetric_eig)
 from fastla.rurv import haar_orthogonal
-from fastla.sylvester import block_eigenvalues
+from fastla.sylvester import block_boundaries, block_eigenvalues
 
-from helpers import match_eigs, pair_over_zero, planted_nonsymmetric, random_triangular
+from helpers import match_eigs, pairs_over_zero, planted_nonsymmetric, random_triangular
 
 CONV = MmEngine("conv")
 
@@ -176,7 +177,8 @@ class TestSchurDandC:
             assert norm(res.q.T @ res.q - np.eye(n)) <= 1e3 * n * n * EPS
 
     def test_split_soundness(self, rng):
-        a = gaussian_matrix(16, 16, rng)
+        # More rows than the leaf, so that there are splits to check.
+        a = gaussian_matrix(2 * EIG_LEAF, 2 * EIG_LEAF, rng)
         res = schur_dandc(a, rng=rng.split(1))
         for node in res.tree:
             if node["kind"] == "split":
@@ -184,21 +186,168 @@ class TestSchurDandC:
                     np.abs(a).sum() * 10  # scale of the parent block
 
     def test_circles_need_no_switch(self):
-        # Every line fails on 0 and +-2i; the driver tries circles itself.
-        res = schur_dandc(pair_over_zero())
+        # Every line fails on 0 and +-k i (k = 1..8); the driver tries
+        # circles itself.  The input has one row more than the leaf.
+        a = pairs_over_zero()
+        res = schur_dandc(a)
         assert not res.flags
         assert res.n_splits == 1
-        assert [node["kind"] for node in res.tree].count("bump") == 1
+        (split,) = [node for node in res.tree if node["kind"] == "split"]
+        assert isinstance(split["line"], tuple)  # (center, radius) of a circle
+        # The eight pairs end as 2x2 bumps of T.
+        assert len(block_boundaries(res.t)) - 1 == 9
+        want = [0.0] + [s * k * 1j for k in range(1, 9) for s in (1, -1)]
+        assert match_eigs(block_eigenvalues(res.t), want) <= 1e4 * EPS * norm(a)
 
     def test_cluster_flagged_when_unsplittable(self, rng):
-        # Four identical eigenvalues: no region can split, the block is
-        # flagged and left unsplit -- but the factorization stays valid.
-        q0 = __import__("fastla.rurv", fromlist=["haar_orthogonal"]).haar_orthogonal(
-            4, rng)
-        a = q0 @ (2.0 * np.eye(4) + np.diag([1e-13, -1e-13, 0, 0])) @ q0.T
+        # Twenty nearly identical eigenvalues, more rows than the leaf: no
+        # region can split them, the block is flagged and left unsplit --
+        # but the factorization stays valid.
+        n = EIG_LEAF + 4
+        q0 = haar_orthogonal(n, rng)
+        a = q0 @ (2.0 * np.eye(n) + np.diag([1e-13, -1e-13] + [0.0] * (n - 2))) @ q0.T
         res = schur_dandc(a, rng=rng.split(1))
         assert any(f.startswith("cluster") for f in res.flags)
         assert norm(a - res.q @ res.t @ res.q.T) <= 1e3 * EPS * norm(a) * 16
+
+
+def _candidate_lines_reference(lo, hi, min_width, diag):
+    """The line search as it was before it stopped at the budget: every
+    diagonal midpoint is pushed, then the list is cut."""
+    out = []
+
+    def push(x):
+        if lo < x < hi and all(abs(x - y) > max(min_width, 1e-300) for y in out):
+            out.append(x)
+
+    push(float(np.mean(diag)))
+    centers = np.sort(diag)
+    mids = 0.5 * (centers[:-1] + centers[1:])
+    order = np.argsort(np.abs(np.arange(len(mids)) - (len(mids) - 1) / 2.0))
+    for idx in order:
+        push(float(mids[idx]))
+    queue = [(lo, hi)]
+    while queue and len(out) < DEFAULT_LINE_BUDGET:
+        a, b = queue.pop(0)
+        if b - a <= min_width:
+            continue
+        push(0.5 * (a + b))
+        queue.append((a, 0.5 * (a + b)))
+        queue.append((0.5 * (a + b), b))
+    return out[:DEFAULT_LINE_BUDGET]
+
+
+def test_candidate_lines_match_reference(rng):
+    # Stopping once the budget is full returns the same lines: blocks from
+    # 1 to 64 rows, repeated and clustered diagonals, wide and narrow
+    # intervals and minimum widths.
+    gen = rng.generator()
+    for trial in range(300):
+        n = int(gen.integers(1, 65))
+        diag = gen.standard_normal(n)
+        if trial % 3 == 1:
+            diag = np.round(diag, 1)  # repeated entries
+        if trial % 3 == 2:
+            diag = 1.0 + 1e-9 * diag  # a cluster narrower than min_width
+        spread = float(np.ptp(diag)) + 1.0
+        lo, hi = float(diag.min()) - spread * gen.random(), float(diag.max()) + spread * gen.random()
+        for min_width in (1e-8, 1e-3 * spread, 0.3 * spread):
+            args = (lo, hi, min_width, diag)
+            assert _candidate_lines(*args) == _candidate_lines_reference(*args)
+
+
+class TestLeaf:
+    """Blocks of at most EIG_LEAF rows finish with one LAPACK call."""
+
+    def test_nonsymmetric_leaf_contract(self, rng):
+        n = 64
+        a = gaussian_matrix(n, n, rng)
+        res = schur_dandc(a, rng=rng.split(1))
+        t = res.t
+        leaves = [node for node in res.tree if node["kind"] == "leaf"]
+        assert leaves and not res.flags
+        assert all(node["hi"] - node["lo"] <= EIG_LEAF for node in leaves)
+        # Quasi-upper-triangular, with LAPACK's standardized bumps: equal
+        # diagonal entries and off-diagonal entries of opposite sign.
+        assert not np.any(np.tril(t, -2))
+        sub = np.diag(t, -1) != 0.0
+        assert not np.any(sub[1:] & sub[:-1])
+        for i in np.flatnonzero(sub):
+            assert t[i, i] == t[i + 1, i + 1]
+            assert t[i, i + 1] * t[i + 1, i] < 0.0
+        assert norm(a - res.q @ t @ res.q.T) <= 10 * max(res.n_splits, 1) * \
+            default_split_tol(n) * norm(a)
+        # evecr reads the bumps: each block's columns of V span an invariant
+        # subspace of T to within its bound.
+        v, err = evecr(t)
+        bounds = block_boundaries(t)
+        for lo, hi in zip(bounds, bounds[1:]):
+            basis = np.linalg.qr(v[:, lo:hi])[0]
+            image = t @ basis
+            resid = norm(image - basis @ (basis.T @ image)) / norm(t)
+            assert resid <= err.predicted_evec_bound
+
+    def test_symmetric_leaf_is_diagonal(self, rng):
+        for n in (EIG_LEAF - 4, 64):
+            a = gaussian_matrix(n, n, rng.split(n))
+            a = a + a.T
+            res = schur_dandc(a, rng=rng.split(100 + n), symmetric=True)
+            assert any(node["kind"] == "leaf" for node in res.tree)
+            np.testing.assert_array_equal(res.t, np.diag(np.diag(res.t)))
+            lam = np.sort(np.diag(res.t))
+            assert np.max(np.abs(lam - np.linalg.eigvalsh(a))) <= 1e4 * EPS * norm(a)
+
+    @pytest.mark.parametrize("symmetric, flops_per_b3", [(True, 9), (False, 25)])
+    def test_leaf_tally(self, rng, symmetric, flops_per_b3):
+        # An input of at most EIG_LEAF rows is one leaf: its documented
+        # flops, plus the conventional product that applies Z to Q.
+        for b in (5, EIG_LEAF):
+            a = gaussian_matrix(b, b, rng.split(b))
+            if symmetric:
+                a = a + a.T
+            counter = OpCounter()
+            res = schur_dandc(a, rng=rng, symmetric=symmetric, counter=counter)
+            assert [node["kind"] for node in res.tree] == ["leaf"]
+            leaf = counter.scalar_mults + counter.scalar_adds - b ** 3 - b * b * (b - 1)
+            assert leaf == flops_per_b3 * b ** 3
+
+    def test_criterion_12_bounds(self, rng, engine):
+        # Criterion 12's inputs and bounds, on both engines.
+        crit = RngStream(14)
+        n = 64
+        a = gaussian_matrix(n, n, crit.split(0))
+        a = a + a.T
+        res = schur_dandc(a, engine, rng=crit.split(1), symmetric=True)
+        assert not res.flags
+        lam = np.sort(np.diag(res.t))
+        assert np.max(np.abs(lam - np.sort(jacobi_eig(a)[1]))) <= 1e4 * EPS * norm(a)
+        assert norm(a - res.q @ res.t @ res.q.T) <= 10 * max(res.n_splits, 1) * \
+            default_split_tol(n) * norm(a)
+        assert norm(res.q.T @ res.q - np.eye(n)) <= 1e3 * n * n * EPS
+        eigs = [3.0, -2.5, 1.5, complex(0.5, 2.0), complex(-1.0, 1.0), 2.0, -0.5,
+                0.8, complex(1.8, 0.7), -3.0, 0.1, -1.7, 0.3, complex(-2.2, 1.5),
+                1.1, -1.2, 2.6, complex(0.9, 3.0), -0.9, 1.9, complex(-3.1, 0.4),
+                0.55, -2.8, 3.3, -0.25, 0.42]
+        dims = sum(2 if isinstance(e, complex) else 1 for e in eigs)
+        b, lam_true = planted_nonsymmetric(dims, eigs, crit.split(2), bump_scale=0.3)
+        res_b = schur_dandc(b, engine, rng=crit.split(3))
+        assert not res_b.flags
+        assert match_eigs(block_eigenvalues(res_b.t), lam_true) <= 1e4 * EPS * norm(b)
+        assert norm(b - res_b.q @ res_b.t @ res_b.q.T) <= 10 * max(res_b.n_splits, 1) * \
+            default_split_tol(dims) * norm(b)
+
+    def test_small_clusters_meet_the_bound(self):
+        # 24 eigenvalues on [0, 2.3e-8] and 40 on [1, 3]: splitting down to
+        # 2x2 left eight unsplit 3-row clusters in [1, 3], flagged, with an
+        # eigenvalue error of 32 times criterion 13's bound.  The leaf
+        # finishes them.
+        q = haar_orthogonal(64, RngStream(11).split(0))
+        lam = np.concatenate([np.linspace(0.0, 2.3e-8, 24), np.linspace(1.0, 3.0, 40)])
+        a = q @ np.diag(lam) @ q.T
+        res = schur_dandc(a, symmetric=True)
+        assert not res.flags
+        err = np.max(np.abs(np.sort(np.diag(res.t)) - lam))
+        assert err <= 1e4 * EPS * norm(a)
 
 
 class TestSymmetricEig:
