@@ -26,8 +26,7 @@ FROBENIUS = "frobenius"
 TWO = "two"
 ONE = "one"
 INF = "inf"
-ENTRYWISE_SUM = "entrywise-sum"
-NORM_KINDS = (FROBENIUS, TWO, ONE, INF, ENTRYWISE_SUM)
+NORM_KINDS = (FROBENIUS, TWO, ONE, INF)
 
 _TWO_NORM_ITERS = 50
 _TWO_NORM_TOL = 1e-8
@@ -113,8 +112,6 @@ def norm(a, kind: str = FROBENIUS) -> float:
         return float(np.max(np.sum(np.abs(a), axis=0)))
     if kind == INF:
         return float(np.max(np.sum(np.abs(a), axis=1)))
-    if kind == ENTRYWISE_SUM:
-        return float(np.sum(np.abs(a)))
     if kind == TWO:
         return _two_norm(a)
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -9,9 +9,10 @@ projector, and a randomized rank-revealing factorization of P+ yields an
 orthogonal Q whose leading columns span the invariant subspace.  The
 split dimension r is chosen by minimizing the entrywise-sum norm of the
 below-block of Q^T A Q over all r in O(n^2) (ColSum/RowSum recurrences); a
-split is accepted only when that norm is below the backward-error budget,
-retrying with a fresh random factorization a few times and subdividing the
-region after that.
+split is accepted only when that norm is at most 1e3 eps ||A||_F, so each
+split drops a block below the eigenvalue and SVD bounds of 1e4 eps ||A||_F.
+A rejected split is retried with a fresh random factorization a few times,
+and then the next region is tried.
 
 Real arithmetic throughout: dividing lines are vertical, and circles are
 centered on the real axis.  A block of at most EIG_LEAF rows is not split:
@@ -21,9 +22,11 @@ its orthogonal factor is applied as an accepted split's is.  The paper's
 cost claim is asymptotic, and a leaf of constant size b adds O(n b^2) work.
 
 The symmetric eigenproblem is the same driver with every compressed
-block re-symmetrized.  ``schur_dandc(symmetric=True)`` holds the symmetry
-check (1e-12 relative in the Frobenius norm, after the finiteness check),
-and ``symmetric_eig`` is that call plus a sort.  The SVD goes through the
+block re-symmetrized; its off-diagonal blocks are then exactly zero, so
+each split's orthogonal factor is applied to Q alone.
+``schur_dandc(symmetric=True)`` holds the symmetry check (1e-12 relative
+in the Frobenius norm, after the finiteness check), and ``symmetric_eig``
+is that call plus a sort.  The SVD goes through the
 polar decomposition A = W H (Nakatsukasa & Higham, SISC 2013): W comes
 from the QR-based dynamically weighted Halley iteration (QDWH;
 Nakatsukasa, Bai & Gygi, SIMAX 2010), which needs only ``qrr`` and
@@ -38,14 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import SingularMatrixError
-from .core import (EPS, ENTRYWISE_SUM, FROBENIUS, DimensionError, NonFiniteInputError,
-                   RngStream, as_matrix, norm, require_finite)
+from .baseline import SingularMatrixError, SylvesterSingularError
+from .core import (EPS, FROBENIUS, DimensionError, NonFiniteInputError, RngStream,
+                   as_matrix, norm, require_finite)
 from .lu import solve_linear
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .qr import positive_q, qrr
 from .rurv import rurv
-from .sylvester import block_boundaries, sep_estimate, sylr
+from .sylvester import _checked_blocks, _sylr_rec, block_eigenvalues, sep_estimate
 
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_SIGN_ITERS = 40
@@ -120,6 +123,9 @@ class EigError:
 
 
 def default_split_tol(n: int) -> float:
+    """n times 1e3 eps: ``split_once``'s budget at n = 1, relative to the
+    block's Frobenius norm, and the per-split factor of the Schur residual
+    bound of an n-row input."""
     return 1e3 * n * EPS
 
 
@@ -206,25 +212,23 @@ def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
     """Attempt one spectral split of ``a`` along ``region``.
 
     Up to DEFAULT_MAX_ATTEMPTS randomized factorizations of the projector
-    are tried; a split is accepted when its below-block is within
-    ``default_split_tol(n)`` times ||a|| in the entrywise-sum norm.
+    are tried; a split is accepted when the entrywise-sum norm of its
+    below-block (NormA21, which bounds its Frobenius norm) is at most
+    ``default_split_tol(1)`` ||a||_F = 1e3 eps ||a||_F.
     """
     a = as_matrix(a)
     require_finite("split_once", a)
     n = a.shape[0]
     rng = rng or RngStream(0)
-    tol = default_split_tol(n)
     try:
-        am = moebius_apply(a, region, engine, counter)
-        if symmetric:
-            am = 0.5 * (am + am.T)
-        s = sign_function(am, engine, counter)
+        # The symmetric driver's blocks are exactly symmetric, and so is A - xI.
+        s = sign_function(moebius_apply(a, region, engine, counter), engine, counter)
     except SignDivergenceError:
         return SplitOutcome(accepted=False, attempts=0)
     p_plus = 0.5 * (s + np.eye(n))
     if symmetric:
         p_plus = 0.5 * (p_plus + p_plus.T)
-    scale = norm(a, ENTRYWISE_SUM)
+    budget = default_split_tol(1) * norm(a, FROBENIUS)
     best = SplitOutcome(accepted=False)
     for attempt in range(DEFAULT_MAX_ATTEMPTS):
         res = rurv(p_plus, engine, rng.split(attempt), with_report=False)
@@ -237,7 +241,7 @@ def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
         if val < best.norm_a21:
             best = SplitOutcome(accepted=False, q=q, r=r, ahat=ahat,
                                 norm_a21=val, attempts=attempt + 1)
-        if val <= tol * scale:
+        if val <= budget:
             best.accepted = True
             best.attempts = attempt + 1
             return best
@@ -341,10 +345,11 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     node_counter = [0]
 
     def rotate(lo: int, hi: int, z):
-        """Apply the block's orthogonal factor z outside its diagonal block."""
-        if lo > 0:
+        """Apply the block's orthogonal factor z to Q, and to T outside its
+        diagonal block unless symmetric (T is zero there)."""
+        if lo > 0 and not symmetric:
             t[:lo, lo:hi] = multiply(t[:lo, lo:hi], z, engine, counter)
-        if hi < n:
+        if hi < n and not symmetric:
             t[lo:hi, hi:] = multiply(np.ascontiguousarray(z.T), t[lo:hi, hi:],
                                      engine, counter)
         q[:, lo:hi] = multiply(q[:, lo:hi], z, engine, counter)
@@ -578,13 +583,19 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
     over all splits and the common eigenvector error bound.  A split whose
     sep is only an upper bound (``SepEstimate.is_upper_bound``) adds
     ``sep-upper-bound:lo:hi``, indexed into T, to its flags.
+
+    T's block pattern and spectrum are read once, at entry.  Raises
+    NotTriangularError when an entry of T below its pattern (in any block,
+    diagonal or not) is nonzero, and SylvesterSingularError when the two
+    halves of a split share an eigenvalue.
     """
     t = as_matrix(t)
     n = t.shape[0]
     if t.shape[1] != n:
         raise DimensionError("evecr requires a square matrix")
     require_finite("evecr", t)
-    bounds = block_boundaries(t)
+    bounds = _checked_blocks(t, "T")
+    eigs = block_eigenvalues(t)
     seps: list = []
     flags: list = []
 
@@ -599,7 +610,10 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         a_blk = t[lo:mid, lo:mid]
         b_blk = t[mid:hi, mid:hi]
         c_blk = t[lo:mid, mid:hi]
-        r, _ = sylr(a_blk, b_blk, c_blk, engine, counter, with_report=False)
+        if np.min(np.abs(eigs[lo:mid, None] - eigs[None, mid:hi])) == 0.0:
+            raise SylvesterSingularError(f"blocks {lo}:{mid}, {mid}:{hi} of T share an eigenvalue")
+        r = _sylr_rec(a_blk, b_blk, c_blk, engine, counter,
+                      bounds[bi_lo:mid_idx + 1] - lo, bounds[mid_idx:bi_hi + 1] - mid)
         est = sep_estimate(a_blk, b_blk)
         seps.append(est.value)
         if est.is_upper_bound:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastla import dd
-from fastla.core import (ENTRYWISE_SUM, EPS, EXTENDED_EPS, FROBENIUS, INF, ONE,
-                         TWO, DimensionError, MatrixParseError, RngStream,
-                         gaussian_matrix, norm, read_matrix, write_matrix)
+from fastla.core import (EPS, EXTENDED_EPS, FROBENIUS, INF, ONE, TWO, DimensionError,
+                         MatrixParseError, RngStream, gaussian_matrix, norm, read_matrix,
+                         write_matrix)
 
 
 class TestRng:
@@ -64,9 +64,6 @@ class TestNorms:
 
     def test_two_norm_single_row(self):
         assert norm(np.array([[3.0, 4.0]]), TWO) == pytest.approx(5.0, rel=1e-12)
-
-    def test_entrywise_sum(self):
-        assert norm(np.array([[1.0, -2.0], [3.0, -4.0]]), ENTRYWISE_SUM) == 10.0
 
     def test_one_inf_explicit_sums(self, rng):
         a = gaussian_matrix(7, 5, rng)

@@ -4,13 +4,13 @@ import pytest
 from fastla.core import EPS, DimensionError, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
-from fastla.matmul import MmEngine, OpCounter, fit_exponent
+from fastla.matmul import MmEngine, OpCounter, fit_exponent, multiply
 from fastla.eig import (DEFAULT_LINE_BUDGET, EIG_LEAF, SignDivergenceError, SplitRegion,
                         _candidate_lines, _polar, default_split_tol, evecr,
                         gershgorin_rectangle, norm_a21_profile, schur_dandc,
                         sign_function, split_once, svd_via_gram, symmetric_eig)
 from fastla.rurv import haar_orthogonal
-from fastla.sylvester import block_boundaries, block_eigenvalues
+from fastla.sylvester import NotTriangularError, block_boundaries, block_eigenvalues
 
 from helpers import match_eigs, pairs_over_zero, planted_nonsymmetric, random_triangular
 
@@ -178,12 +178,27 @@ class TestSchurDandC:
 
     def test_split_soundness(self, rng):
         # More rows than the leaf, so that there are splits to check.
-        a = gaussian_matrix(2 * EIG_LEAF, 2 * EIG_LEAF, rng)
-        res = schur_dandc(a, rng=rng.split(1))
-        for node in res.tree:
-            if node["kind"] == "split":
-                assert node["norm_a21"] <= default_split_tol(node["hi"] - node["lo"]) * \
+        g = gaussian_matrix(4 * EIG_LEAF, 4 * EIG_LEAF, rng)
+        # The H = sym(W^T A) of spectral seed 11 job 48's SVD: at its root
+        # the first RURV drops a block of about 4.5e4 eps ||H||_F.
+        svd_rng = RngStream(11).split(48)
+        svd_a = gaussian_matrix(64, 64, svd_rng.split(0))
+        h = multiply(np.ascontiguousarray(_polar(svd_a, CONV, None).T), svd_a)
+        cases = [(g, False, rng.split(1)), (g + g.T, True, rng.split(1)),
+                 (0.5 * (h + h.T), True, svd_rng.split(2).split(2))]
+        for a, symmetric, sub in cases:
+            res = schur_dandc(a, rng=sub, symmetric=symmetric)
+            splits = [node for node in res.tree if node["kind"] == "split"]
+            assert len(splits) >= 3
+            for node in splits:
+                lo, hi = node["lo"], node["hi"]
+                assert node["norm_a21"] <= default_split_tol(hi - lo) * \
                     np.abs(a).sum() * 10  # scale of the parent block
+                # Each split drops at most 1e3 eps times its block's Frobenius
+                # norm; the block was Q[:, lo:hi]^T A Q[:, lo:hi] up to later
+                # rotations inside it, which leave that norm unchanged.
+                block = res.q[:, lo:hi].T @ a @ res.q[:, lo:hi]
+                assert node["norm_a21"] <= default_split_tol(1) * norm(block) * (1 + 1e-10)
 
     def test_circles_need_no_switch(self):
         # Every line fails on 0 and +-k i (k = 1..8); the driver tries
@@ -375,6 +390,20 @@ class TestSymmetricEig:
         assert norm(a @ q - q @ np.diag(lam)) <= 1e4 * EPS * na
         assert norm(q.T @ q - np.eye(n)) <= 1e3 * n * n * EPS
 
+    def test_no_products_of_zero_blocks(self, rng, monkeypatch):
+        # A symmetric split zeroes both off-diagonal blocks of T, so its
+        # factor goes to Q alone.
+        zero_operands = []
+
+        def spy(x, y, *args, **kwargs):
+            zero_operands.extend(not np.any(m) for m in (x, y))
+            return multiply(x, y, *args, **kwargs)
+
+        monkeypatch.setattr("fastla.eig.multiply", spy)
+        a = gaussian_matrix(64, 64, rng)
+        symmetric_eig(a + a.T, rng=rng.split(1))
+        assert zero_operands and not any(zero_operands)
+
     def test_asymmetric_rejected(self, rng):
         # The check lives in the driver, so both entry points raise.
         a = gaussian_matrix(4, 4, rng)
@@ -429,6 +458,20 @@ class TestSvdViaGram:
             assert norm(u.T @ u - np.eye(n)) <= 1e3 * n * n * EPS, name
             assert norm(v.T @ v - np.eye(n)) <= 1e3 * n * n * EPS, name
             assert flags or not deficient, name
+
+    @pytest.mark.parametrize("seed, job", [(9, 72), (11, 48)])
+    def test_split_budget_in_frobenius_norm(self, seed, job):
+        # Two spectral benchmark inputs whose splits, accepted against
+        # 1e3 n eps ||B||_S, dropped enough to miss the reconstruction
+        # bound 1.16 and 1.79 times (flagged ``reconstruction``); against
+        # 1e3 eps ||B||_F they read 0.0017 and 0.0016 of it, unflagged.
+        rng = RngStream(seed).split(job)
+        a = gaussian_matrix(64, 64, rng.split(0))
+        u, s, v, flags = svd_via_gram(a, rng=rng.split(2).split(2))
+        na = norm(a)
+        assert not flags
+        assert norm(a - u @ np.diag(s) @ v.T) <= 1e4 * EPS * na
+        assert np.max(np.abs(s - jacobi_svd(a)[1])) <= 1e4 * EPS * na
 
     def test_graded_tail_misses_bound_only_when_flagged(self, rng):
         from fastla.rurv import haar_orthogonal
@@ -588,6 +631,15 @@ class TestEvecR:
         resid = norm(image - qp @ (qp.T @ image))
         assert resid <= err.predicted_evec_bound * norm(t) + 1e-10
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-12)
+
+    def test_entry_below_pattern_rejected(self, rng):
+        # T[15, 0] sits in an off-diagonal block of every split, where no
+        # check of the diagonal halves saw it: V came back with a column
+        # residual of 1.0, unflagged.
+        t = random_triangular(16, rng, diag_scale=np.linspace(1.0, 16.0, 16))
+        t[15, 0] = 1.0
+        with pytest.raises(NotTriangularError):
+            evecr(t)
 
     def test_repeated_eigenvalue_rejected(self):
         t = np.triu(np.ones((3, 3)))
