@@ -20,13 +20,11 @@ EXTENDED_EPS = dd.DD_EPS
 
 WORKING = "working"
 EXTENDED = "extended"
-PRECISIONS = (WORKING, EXTENDED)
 
 FROBENIUS = "frobenius"
 TWO = "two"
 ONE = "one"
 INF = "inf"
-NORM_KINDS = (FROBENIUS, TWO, ONE, INF)
 
 _TWO_NORM_ITERS = 50
 _TWO_NORM_TOL = 1e-8

@@ -11,6 +11,8 @@ split dimension r is chosen by minimizing the entrywise-sum norm of the
 below-block of Q^T A Q over all r in O(n^2) (ColSum/RowSum recurrences); a
 split is accepted only when that norm is at most 1e3 eps ||A||_F, so each
 split drops a block below the eigenvalue and SVD bounds of 1e4 eps ||A||_F.
+These bounds, the Schur residual bound and the eigenvector bound of
+``evecr`` are evaluated in ``bounds``.
 A rejected split is retried with a fresh random factorization a few times,
 and then the next region is tried.
 
@@ -24,8 +26,8 @@ cost claim is asymptotic, and a leaf of constant size b adds O(n b^2) work.
 The symmetric eigenproblem is the same driver with every compressed
 block re-symmetrized; its off-diagonal blocks are then exactly zero, so
 each split's orthogonal factor is applied to Q alone.
-``schur_dandc(symmetric=True)`` holds the symmetry check (1e-12 relative
-in the Frobenius norm, after the finiteness check), and ``symmetric_eig``
+``schur_dandc(symmetric=True)`` holds the symmetry check
+(``bounds.SYMMETRY_TOL``, after the finiteness check), and ``symmetric_eig``
 is that call plus a sort.  The SVD goes through the
 polar decomposition A = W H (Nakatsukasa & Higham, SISC 2013): W comes
 from the QR-based dynamically weighted Halley iteration (QDWH;
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from .baseline import SingularMatrixError, SylvesterSingularError
 from .core import (EPS, FROBENIUS, DimensionError, NonFiniteInputError, RngStream,
                    as_matrix, norm, require_finite)
@@ -62,7 +65,8 @@ DEFAULT_LINE_BUDGET = 7
 # hiding the region search's weakness on them rather than fixing it.
 EIG_LEAF = 16
 POLAR_L0 = EPS  # assumed lower bound on sigma_min(A) / ||A||_F in the polar iteration
-EVEC_EXPONENT = 3.0  # calibrated c' in the eigenvector error bound
+# perfbench/checks.py imports the split tolerance under this name.
+default_split_tol = bounds.split_tol
 
 
 class SignDivergenceError(RuntimeError):
@@ -120,13 +124,6 @@ class EigError:
     s_floor: float
     predicted_evec_bound: float
     flags: list = field(default_factory=list)
-
-
-def default_split_tol(n: int) -> float:
-    """n times 1e3 eps: ``split_once``'s budget at n = 1, relative to the
-    block's Frobenius norm, and the per-split factor of the Schur residual
-    bound of an n-row input."""
-    return 1e3 * n * EPS
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,7 @@ def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
     Up to DEFAULT_MAX_ATTEMPTS randomized factorizations of the projector
     are tried; a split is accepted when the entrywise-sum norm of its
     below-block (NormA21, which bounds its Frobenius norm) is at most
-    ``default_split_tol(1)`` ||a||_F = 1e3 eps ||a||_F.
+    ``bounds.split_tol(1)`` ||a||_F = 1e3 eps ||a||_F.
     """
     a = as_matrix(a)
     require_finite("split_once", a)
@@ -228,7 +225,7 @@ def split_once(a, region: SplitRegion, engine: MmEngine = CONVENTIONAL,
     p_plus = 0.5 * (s + np.eye(n))
     if symmetric:
         p_plus = 0.5 * (p_plus + p_plus.T)
-    budget = default_split_tol(1) * norm(a, FROBENIUS)
+    budget = bounds.split_tol(1) * norm(a, FROBENIUS)
     best = SplitOutcome(accepted=False)
     for attempt in range(DEFAULT_MAX_ATTEMPTS):
         res = rurv(p_plus, engine, rng.split(attempt), with_report=False)
@@ -323,7 +320,7 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     ``{"kind": "leaf", "lo", "hi"}``), so T is quasi-upper-triangular with
     LAPACK's standardized 2x2 bumps for complex pairs, and diagonal on
     the leaves when symmetric.  With ``symmetric=True``, an input that is
-    not symmetric to 1e-12 relative raises DimensionError.
+    not symmetric to ``bounds.SYMMETRY_TOL`` relative raises DimensionError.
     """
     a = as_matrix(a)
     n = a.shape[0]
@@ -331,7 +328,8 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
         raise DimensionError("schur_dandc requires a square matrix")
     # The region search would bisect a NaN Gershgorin box without end.
     require_finite("schur_dandc", a)
-    if symmetric and float(np.linalg.norm(a - a.T)) > 1e-12 * max(norm(a, FROBENIUS), 1e-300):
+    scale = max(norm(a, FROBENIUS), 1e-300)
+    if symmetric and float(np.linalg.norm(a - a.T)) > bounds.SYMMETRY_TOL * scale:
         raise DimensionError("schur_dandc(symmetric=True) requires a symmetric matrix")
     rng = rng or RngStream(0)
     t = a.copy()
@@ -340,7 +338,6 @@ def schur_dandc(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = None
     q = np.eye(n)
     tree: list = []
     flags: list = []
-    scale = max(norm(a, FROBENIUS), 1e-300)
     min_width = math.sqrt(EPS) * scale
     node_counter = [0]
 
@@ -491,13 +488,13 @@ def svd_via_gram(a, engine: MmEngine = CONVENTIONAL, rng: RngStream | None = Non
     v = res.q[:, order]
     u = multiply(w, v, engine, counter)
     flags = list(res.flags)
-    floor = 1e4 * EPS * norm(a)
+    floor = bounds.spectral(norm(a))
     if sigma[-1] <= floor or any(_cluster_floor(res.t, f) <= floor
                                  for f in res.flags if f.startswith("cluster:")):
         flags.append("rank-deficient")
     if not flags:
         orth = max(norm(multiply(x.T, x, engine, counter) - np.eye(n)) for x in (u, v))
-        if orth > 1e3 * n * n * EPS:
+        if orth > bounds.backward(n):
             flags.append("orthogonality")
         elif norm(a - multiply(u * sigma, v.T, engine, counter)) > floor:
             flags.append("reconstruction")
@@ -594,26 +591,26 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
     if t.shape[1] != n:
         raise DimensionError("evecr requires a square matrix")
     require_finite("evecr", t)
-    bounds = _checked_blocks(t, "T")
+    cuts = _checked_blocks(t, "T")
     eigs = block_eigenvalues(t)
     seps: list = []
     flags: list = []
 
     def rec(bi_lo: int, bi_hi: int) -> np.ndarray:
         nblocks = bi_hi - bi_lo
-        lo, hi = bounds[bi_lo], bounds[bi_hi]
+        lo, hi = cuts[bi_lo], cuts[bi_hi]
         size = hi - lo
         if nblocks == 1:
             return np.eye(size)
         mid_idx = bi_lo + nblocks // 2
-        mid = bounds[mid_idx]
+        mid = cuts[mid_idx]
         a_blk = t[lo:mid, lo:mid]
         b_blk = t[mid:hi, mid:hi]
         c_blk = t[lo:mid, mid:hi]
         if np.min(np.abs(eigs[lo:mid, None] - eigs[None, mid:hi])) == 0.0:
             raise SylvesterSingularError(f"blocks {lo}:{mid}, {mid}:{hi} of T share an eigenvalue")
         r = _sylr_rec(a_blk, b_blk, c_blk, engine, counter,
-                      bounds[bi_lo:mid_idx + 1] - lo, bounds[mid_idx:bi_hi + 1] - mid)
+                      cuts[bi_lo:mid_idx + 1] - lo, cuts[mid_idx:bi_hi + 1] - mid)
         est = sep_estimate(a_blk, b_blk)
         seps.append(est.value)
         if est.is_upper_bound:
@@ -629,14 +626,7 @@ def evecr(t, engine: MmEngine = CONVENTIONAL, counter=None):
         out[:, mid - lo :] /= norms[None, :]
         return out
 
-    vmat = rec(0, len(bounds) - 1)
+    vmat = rec(0, len(cuts) - 1)
     s_floor = min(seps) if seps else norm(t, FROBENIUS)
-    nt = norm(t, FROBENIUS)
-    if s_floor <= 0.0:
-        bound = 1.0
-    else:
-        log_b = EVEC_EXPONENT * math.log10(max(n, 2)) + math.log10(EPS)
-        log_b += (2.0 + math.log2(max(n, 2))) * math.log10(max(nt / s_floor, 1.0))
-        bound = 1.0 if log_b >= 0.0 else 10.0 ** log_b
-    err = EigError(s_floor=s_floor, predicted_evec_bound=bound, flags=flags)
-    return vmat, err
+    bound = bounds.evecr(n, norm(t, FROBENIUS), s_floor)
+    return vmat, EigError(s_floor=s_floor, predicted_evec_bound=bound, flags=flags)

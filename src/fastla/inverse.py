@@ -27,30 +27,23 @@ returns the symmetric part (X + X^T)/2 of the refined inverse; otherwise
 Newton would invert the roundoff asymmetry of the double-word Schur
 complements exactly, and the asymmetry would grow down the recursion.
 
-``predicted_bound`` in the report evaluates the error recurrences with the
-measured condition number and the engine's measured error-model constant,
-clamped at 1 (a bound of 1 means no accuracy is promised).
+``predicted_bound`` in the report evaluates the error recurrences of
+``bounds`` with the measured condition number and the engine's measured
+error-model constant, clamped at 1 (a bound of 1 means no accuracy is
+promised).  The symmetry tolerance of ``spd_inv`` is ``bounds.SYMMETRY_TOL``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dd
+from . import bounds, dd
 from .baseline import SingularMatrixError
 from .core import (EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix,
                    norm, require_finite)
 from .matmul import CONVENTIONAL, MmEngine, measure_mm_error, multiply
-
-# Calibration constants multiplying the paper-recurrence bounds; the
-# recurrences are worst case, so modest constants dominate measured errors.
-TRI_BOUND_CONST = 100.0
-SPD_BOUND_CONST = 100.0
-
-_SYMMETRY_TOL = 1e-12
 
 # Double-word blocks of at most this many rows try the Newton leaf
 # (see _dd_leaf_inv); 16 and 64 were both slower on n = 128 inputs.
@@ -83,25 +76,6 @@ def engine_mu_constant(engine: MmEngine) -> float:
         model = measure_mm_error(32, engine, trials=2, rng=RngStream(0xF457))
         _mu_cache[key] = max(1.0, model.observed_constant)
     return _mu_cache[key]
-
-
-def predicted_tri_bound(kappa: float, n: int, mu_const: float) -> float:
-    """Relative forward-error bound from the triangular-inversion recurrence."""
-    if n <= 1:
-        return min(1.0, TRI_BOUND_CONST * EPS * kappa)
-    growth = (2.0 * (kappa + 1.0)) ** math.log2(n)
-    return min(1.0, TRI_BOUND_CONST * mu_const * EPS * kappa * growth)
-
-
-def predicted_spd_bound(kappa: float, n: int, mu_const: float) -> float:
-    """Relative forward-error bound from the SPD-inversion recurrence."""
-    if n <= 1:
-        return min(1.0, SPD_BOUND_CONST * EPS * kappa)
-    # Work in log10: the kappa^(4 + 4 log2 n) factor overflows floats fast.
-    log_b = math.log10(SPD_BOUND_CONST * mu_const * EPS)
-    log_b += math.log2(10.0) * math.log10(n)  # the n^{log2 10} factor
-    log_b += (4.0 + 4.0 * math.log2(n)) * math.log10(kappa)
-    return 1.0 if log_b >= 0.0 else 10.0 ** log_b
 
 
 def _report(a, x, precision, kappa, predicted) -> InvReport:
@@ -165,7 +139,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     if not with_report:
         return x, None
     kappa = max(1.0, norm(t, TWO) * norm(x, TWO))
-    bound = predicted_tri_bound(kappa, n, engine_mu_constant(engine))
+    bound = bounds.tri_inv(kappa, n, engine_mu_constant(engine))
     return x, _report(t, x, precision, kappa, bound)
 
 
@@ -237,13 +211,14 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
         raise DimensionError("spd_inv requires a square matrix")
     require_finite("spd_inv", h)
     nh = norm(h)
-    if float(np.linalg.norm(h - h.T)) > _SYMMETRY_TOL * max(nh, 1e-300):
-        raise AsymmetricMatrixError("matrix is not symmetric within 1e-12 relative")
+    if float(np.linalg.norm(h - h.T)) > bounds.SYMMETRY_TOL * max(nh, 1e-300):
+        raise AsymmetricMatrixError(
+            f"matrix is not symmetric within {bounds.SYMMETRY_TOL:g} relative")
     x = _symmetrize(_round(_spd_inv_rec(_lift(h, precision), engine, counter)))
     if not with_report:
         return x, None
     kappa = max(1.0, norm(h, TWO) * norm(x, TWO))
-    bound = predicted_spd_bound(kappa, n, engine_mu_constant(engine))
+    bound = bounds.spd_inv(kappa, n, engine_mu_constant(engine))
     return x, _report(h, x, precision, kappa, bound)
 
 
@@ -325,7 +300,7 @@ def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     if not with_report:
         return x, None
     kappa_a = max(1.0, norm(a, TWO) * norm(x, TWO))
-    bound = predicted_spd_bound(kappa_a ** 2, n, engine_mu_constant(engine))
+    bound = bounds.spd_inv(kappa_a ** 2, n, engine_mu_constant(engine))
     return x, _report(a, x, precision, kappa_a, bound)
 
 

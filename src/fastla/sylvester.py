@@ -20,11 +20,13 @@ sep(A,B) = sigma_min(K), K = I (x) A - B^T (x) I, comes from Lanczos on
 K^-T K^-1, each step two LAPACK trsyl solves: O(nm(n+m)) flops, plus O(k nm)
 for reorthogonalisation at step k.  A run cut at SEP_MAX_ITERS steps returns
 a value flagged as an upper bound on sep.
+
+The residual bound of ``sylr`` and the forward-error bound of its
+recurrence are ``bounds.backward(n + m)`` and ``bounds.sylr``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,6 @@ from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
 
 SEP_MAX_ITERS = 500
-# Calibration constant multiplying the sylr error recurrence.
-SYLR_BOUND_CONST = 10.0
 
 
 class NotTriangularError(ValueError):
@@ -244,22 +244,6 @@ def sep_estimate(a, b) -> SepEstimate:
             return SepEstimate(value=float(ritz[-1] ** -0.5), is_upper_bound=not done)
         betas.append(beta)
         basis = np.vstack([basis, w / beta])
-
-
-def predicted_sylr_bound(n: int, norm_a: float, norm_b: float, sep: float,
-                         mu_const: float = 1.0) -> float:
-    """Relative forward-error bound from the recursive solver's recurrence.
-
-    err(n)/||R|| = O(n^(1+log2 3) mu(n/2) eps ((||A||+||B||)/sep)^(1+log2 n)),
-    evaluated in logs and clamped at 1 (above 1, no accuracy is promised).
-    """
-    if sep <= 0.0:
-        return 1.0
-    n = max(n, 2)
-    log_b = math.log10(SYLR_BOUND_CONST * mu_const * EPS)
-    log_b += (1.0 + math.log2(3.0)) * math.log10(n)
-    log_b += (1.0 + math.log2(n)) * math.log10(max((norm_a + norm_b) / sep, 1.0))
-    return 1.0 if log_b >= 0.0 else 10.0 ** log_b
 
 
 def sylr_oracle_equivalence(problems, engine: MmEngine = CONVENTIONAL) -> float:

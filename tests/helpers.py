@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the library's fast paths:
 extended-precision recomputation, exact rational arithmetic, dense
 Kronecker solves, column-by-column reference panels, and planted-spectrum
-constructions whose answers are known before any library code runs.
+constructions whose answers are known before any library code runs.  The
+contract checks of the spectral drivers compare their outputs with such
+oracles against the bounds of ``fastla.bounds``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fastla import dd
-from fastla.core import RngStream, as_matrix, gaussian_matrix
+from fastla import bounds, dd
+from fastla.core import RngStream, as_matrix, gaussian_matrix, norm
 from fastla.baseline import jacobi_svd
 from fastla.rurv import haar_orthogonal
 
@@ -158,6 +160,47 @@ def match_eigs(found, expected) -> float:
         worst = max(worst, dists[j])
         found.pop(j)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Contract checks of the spectral drivers.  Each returns the parts of the
+# contract a result misses, as "name value > bound" strings: [] passes.
+
+
+def _misses(checks) -> list:
+    return [f"{name} {value:.3e} > {bound:.3e}" for name, value, bound in checks
+            if not value <= bound]
+
+
+def _orth(name, q):
+    """Q orthonormal to the backward budget of its order."""
+    n = q.shape[1]
+    return (f"{name} orthogonality", norm(q.T @ q - np.eye(n)), bounds.backward(n))
+
+
+def svd_misses(a, u, s, v, s_ref) -> list:
+    """Singular values within ``spectral(||A||_F)`` of s_ref, A = U diag(s) V^T
+    to the same, and U, V orthonormal."""
+    na = norm(a)
+    return _misses([("sigma", float(np.max(np.abs(s - s_ref))), bounds.spectral(na)),
+                    ("reconstruction", norm(a - u @ np.diag(s) @ v.T), bounds.spectral(na)),
+                    _orth("U", u), _orth("V", v)])
+
+
+def eig_misses(a, q, lam, lam_ref) -> list:
+    """Symmetric eigenproblem: lam within ``spectral(||A||_F)`` of lam_ref as
+    sorted lists, A Q = Q diag(lam) to the same, and Q orthonormal."""
+    na = norm(a)
+    err = float(np.max(np.abs(np.sort(lam) - np.sort(lam_ref))))
+    return _misses([("eigenvalues", err, bounds.spectral(na)),
+                    ("residual", norm(a @ q - q @ np.diag(lam)), bounds.spectral(na)),
+                    _orth("Q", q)])
+
+
+def schur_misses(a, res) -> list:
+    """A = Q T Q^T to ``schur(n, splits) ||A||_F``, and Q orthonormal."""
+    bound = bounds.schur(a.shape[0], res.n_splits) * norm(a)
+    return _misses([("residual", norm(a - res.q @ res.t @ res.q.T), bound), _orth("Q", res.q)])
 
 
 def oracle_sigma(a) -> np.ndarray:

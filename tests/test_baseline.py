@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastla import bounds
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
 from fastla.baseline import (BlockConfig, SylvesterSingularError, _gepp_panel,
                              block_cost_exponent, block_lu, block_qr, conventional_sylvester,
@@ -179,7 +180,7 @@ class TestBlockLu:
         a = gaussian_matrix(16, 16, rng)
         p, l, u = block_lu(a, BlockConfig(b), engine)
         g = pivot_growth(a, u)
-        assert dd_residual_lu(a[p], l, u) <= 1e3 * 16 * 16 * EPS * g
+        assert dd_residual_lu(a[p], l, u) <= bounds.backward(16) * g
 
     def test_gamma_formulas(self):
         # gamma = 3: b = n and the blocked exponent stays 3.
@@ -214,7 +215,7 @@ class TestBlockQr:
         rfull = np.zeros((32, 16))
         rfull[:16] = r
         recon = wy.apply_q(rfull, MmEngine("conv"))
-        assert norm(a - recon) <= 1e3 * 32 * 32 * EPS * norm(a)
+        assert norm(a - recon) <= bounds.backward(32) * norm(a)
 
     def test_optimal_block_formula_columns(self):
         # For an n-by-m panel the cost-balancing b is m^(1/(4-gamma)).

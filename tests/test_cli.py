@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from fastla import bounds
 from fastla.cli import main, payload_bytes
-from fastla.core import EPS, RngStream, gaussian_matrix, read_matrix, write_matrix
+from fastla.core import RngStream, gaussian_matrix, read_matrix, write_matrix
+from fastla.inverse import gen_inv
 
 from helpers import pairs_over_zero, random_triangular, tiny_tail_embedding
 
@@ -78,6 +80,12 @@ class TestDecomposeOutputs:
         for kind, path in [("tri", "tri.mat"), ("spd", "spd.mat"), ("general", "A.mat")]:
             assert run(["invert", "--in", workdir / path, "--kind", kind,
                         "--report", workdir / f"inv-{kind}.json"]) == 0
+        # A general inverse passes within backward(n) kappa^2: the recurrence
+        # bound of the normal-equations route is 1 here, and passed any X.
+        results = json.loads((workdir / "inv-general.json").read_text())["payload"]["results"]
+        kappa = gen_inv(read_matrix(workdir / "A.mat"))[1].kappa
+        assert results["bound"] == pytest.approx(bounds.backward(8) * kappa ** 2, rel=1e-11)
+        assert results["predicted_bound"] == 1.0 > results["bound"]
 
     def test_invert_extended(self, workdir):
         rep = workdir / "inv-ext.json"
@@ -153,7 +161,7 @@ class TestDecomposeOutputs:
         rep = workdir / "svd.json"
         assert run(["svd", "--in", workdir / "A.mat", "--seed", 11, "--report", rep]) == 0
         results = json.loads(rep.read_text())["payload"]["results"]
-        assert results["orth_defect"] <= 1e3 * 8 * 8 * EPS
+        assert results["orth_defect"] <= bounds.backward(8)
         assert results["residual"] <= results["bound"]
 
     def test_svd_flagged_exit1(self, workdir):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import fastla
-from fastla import dd
+from fastla import bounds, dd
 from fastla.core import EPS, EXTENDED, WORKING, RngStream, gaussian_matrix, norm
 from fastla.inverse import (AsymmetricMatrixError, NotPositiveDefiniteError,
-                            engine_mu_constant, gen_inv, predicted_tri_bound,
-                            solve_via_inverse, spd_inv, theorem1_embedding, tri_inv)
+                            engine_mu_constant, gen_inv, solve_via_inverse, spd_inv,
+                            theorem1_embedding, tri_inv)
 from fastla.matmul import MmEngine, OpCounter, multiply
 from fastla.rurv import haar_orthogonal
 
@@ -54,23 +54,23 @@ class TestTriInv:
         # recurrence bound's slope + 0.5 across kappa.
         kappas = [10.0, 100.0, 1e3, 1e4]
         errs = []
-        bounds = []
+        predicted = []
         mu = engine_mu_constant(CONV)
         for k in kappas:
             t = triangular_with_condition(64, k, rng.split(int(k)))
             x, rep = tri_inv(t)
             truth = dd.inv_upper(t).to_float64()
             errs.append(max(norm(x - truth) / norm(truth), 1e-300))
-            bounds.append(predicted_tri_bound(rep.kappa, 64, mu))
+            predicted.append(bounds.tri_inv(rep.kappa, 64, mu))
         slope_err = np.polyfit(np.log10(kappas), np.log10(errs), 1)[0]
-        slope_bound = np.polyfit(np.log10(kappas), np.log10(np.maximum(bounds, 1e-300)), 1)[0]
+        slope_bound = np.polyfit(np.log10(kappas), np.log10(np.maximum(predicted, 1e-300)), 1)[0]
         assert slope_err <= slope_bound + 0.5
 
     def test_extended_matches_backward_stable_grade(self, rng):
         t = triangular_with_condition(64, 1e4, rng)
         x, rep = tri_inv(t, precision=EXTENDED)
         assert rep.precision_used == EXTENDED
-        assert rep.residual_left <= 1e3 * 64 * 64 * EPS * rep.kappa
+        assert rep.residual_left <= bounds.backward(64) * rep.kappa
 
     def test_zero_diagonal_rejected(self):
         t = np.triu(np.ones((3, 3)))
@@ -113,7 +113,7 @@ class TestSpdInv:
         for n, kappa in [(32, 1e4), (64, 1e6)]:
             h = spd_with_condition(n, kappa, rng.split(n))
             x, rep = spd_inv(h, precision=EXTENDED)
-            assert rep.residual_left <= 1e3 * n * n * EPS * rep.kappa
+            assert rep.residual_left <= bounds.backward(n) * rep.kappa
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -142,7 +142,7 @@ class TestExtendedLeaf:
         for kappa in (1e8, 1e12, 1e16):
             t = triangular_with_condition(n, kappa, rng.split(int(math.log10(kappa))))
             x, rep = tri_inv(t, precision=EXTENDED)
-            assert rep.residual_left <= 1e3 * n * n * EPS * rep.kappa
+            assert rep.residual_left <= bounds.backward(n) * rep.kappa
 
     @pytest.mark.parametrize("n", [2, 3, 32, 33, 64])
     def test_indefinite_rejected(self, rng, n):
@@ -229,7 +229,7 @@ class TestGenInv:
     def test_orthogonal_gives_transpose(self, rng):
         q = haar_orthogonal(16, rng)
         x, _ = gen_inv(q)
-        assert norm(x - q.T) <= 1e3 * 16 * 16 * EPS
+        assert norm(x - q.T) <= bounds.backward(16)
 
     def test_graded_diag(self):
         x, _ = gen_inv(np.diag([1.0, 1e-2]))
@@ -258,7 +258,7 @@ class TestSolveViaInverse:
         q = haar_orthogonal(12, rng)
         b = gaussian_matrix(12, 1, rng.split(1))[:, 0]
         x = solve_via_inverse(q, b)
-        assert np.linalg.norm(x - q.T @ b) <= 1e3 * 144 * EPS * np.linalg.norm(b)
+        assert np.linalg.norm(x - q.T @ b) <= bounds.backward(12) * np.linalg.norm(b)
 
     def test_constructed_solution(self, rng):
         a = gaussian_matrix(24, 24, rng.split(0)) + 5.0 * np.eye(24)
@@ -267,7 +267,7 @@ class TestSolveViaInverse:
         from helpers import oracle_kappa2
 
         kappa = oracle_kappa2(a)
-        assert np.linalg.norm(x - x0) <= 1e3 * 24 * 24 * EPS * kappa ** 2 * np.linalg.norm(x0)
+        assert np.linalg.norm(x - x0) <= bounds.backward(24) * kappa ** 2 * np.linalg.norm(x0)
 
 
 class TestTheorem1Embedding:
@@ -294,13 +294,13 @@ class TestTheorem1Embedding:
             b = gaussian_matrix(n, n, rng.split(2 * t + 1))
             got = theorem1_embedding(a, b)
             ref = multiply(a, b, CONV)
-            assert norm(got - ref) <= 1e4 * EPS * norm(a) * norm(b)
+            assert norm(got - ref) <= bounds.spectral(norm(a)) * norm(b)
 
     def test_rectangular(self, rng):
         a = gaussian_matrix(3, 5, rng.split(0))
         b = gaussian_matrix(5, 2, rng.split(1))
         got = theorem1_embedding(a, b)
-        assert norm(got - a @ b) <= 1e4 * EPS * norm(a) * norm(b)
+        assert norm(got - a @ b) <= bounds.spectral(norm(a)) * norm(b)
 
     def test_gen_inv_inverter_route(self, rng):
         # The embedding also works through the logarithmically stable
@@ -308,4 +308,4 @@ class TestTheorem1Embedding:
         a = gaussian_matrix(4, 4, rng.split(0))
         b = gaussian_matrix(4, 4, rng.split(1))
         got = theorem1_embedding(a, b, inverter=lambda m: gen_inv(m, CONV, with_report=False)[0])
-        assert norm(got - a @ b) <= 1e4 * EPS * norm(a) * norm(b)
+        assert norm(got - a @ b) <= bounds.spectral(norm(a)) * norm(b)

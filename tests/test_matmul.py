@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastla import dd
+from fastla import bounds, dd
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
 from fastla.matmul import (ErrorModel, MmEngine, OpCounter, fit_exponent,
                            measure_mm_error, multiply)
@@ -56,7 +56,7 @@ class TestMultiply:
         got = multiply(a, b, engine)
         ref = multiply(a, b, MmEngine("conv"))
         scale = norm(a) * norm(b)
-        assert norm(got - ref) <= 1e3 * max(p, q, r) ** 2 * EPS * scale
+        assert norm(got - ref) <= bounds.backward(max(p, q, r)) * scale
 
     @given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -65,7 +65,7 @@ class TestMultiply:
         a = np.asarray(gen.integers(-2, 3, size=(n, n)), dtype=np.float64)
         b = np.asarray(gen.integers(-2, 3, size=(n, n)), dtype=np.float64)
         ref = multiply(a, b, MmEngine("conv"))
-        bound = 1e3 * n * n * EPS * norm(a) * norm(b)
+        bound = bounds.backward(n) * norm(a) * norm(b)
         for engine in ENGINES[1:]:
             assert norm(multiply(a, b, engine) - ref) <= max(bound, 1e-300)
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import schur
 
-from fastla import sylvester
+from fastla import bounds, sylvester
 from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import SylvesterSingularError, conventional_sylvester, jacobi_svd
 from fastla.eig import evecr
 from fastla.matmul import MmEngine, OpCounter
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
-                              block_eigenvalues, predicted_sylr_bound, sep_estimate, sylr,
-                              sylr_oracle_equivalence)
+                              block_eigenvalues, sep_estimate, sylr, sylr_oracle_equivalence)
 
 from helpers import kron_operator, random_triangular, sylvester_dd
 
@@ -47,7 +46,7 @@ class TestSylr:
         n, m = shape
         a, b, c = _well_separated(n, m, rng.split(n * 10 + m))
         r, rep = sylr(a, b, c, engine)
-        assert rep.residual <= 1e3 * (n + m) ** 2 * EPS
+        assert rep.residual <= bounds.backward(n + m)
 
     def test_random_64_forward_error_vs_dd_oracle(self, rng, engine):
         a, b, c = _well_separated(64, 64, rng)
@@ -56,8 +55,7 @@ class TestSylr:
         sep = sep_estimate(a, b).value
         from fastla.inverse import engine_mu_constant
 
-        bound = predicted_sylr_bound(64, norm(a), norm(b), sep,
-                                     engine_mu_constant(engine))
+        bound = bounds.sylr(64, norm(a), norm(b), sep, engine_mu_constant(engine))
         assert norm(r - r_true) / norm(r_true) <= bound
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (12, 3), (20, 20),
