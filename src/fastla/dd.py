@@ -278,21 +278,10 @@ def solve_upper(u, b, unit_diag=False):
 
 
 def solve_lower(l, b, unit_diag=False):
-    """Forward substitution L x = b in extended precision."""
-    l = _coerce(l)
+    """Forward substitution L x = b in extended precision: back substitution
+    on the system with its rows and columns reversed."""
     b = _coerce(b)
-    n = l.shape[0]
-    rhs = b if b.hi.ndim == 2 else DD(b.hi[:, None], b.lo[:, None])
-    m = rhs.shape[1]
-    x = DD(np.zeros((n, m)))
-    for i in range(n):
-        acc = rhs[i : i + 1, :]
-        if i > 0:
-            acc = acc - l[i : i + 1, :i] @ x[:i, :]
-        if not unit_diag:
-            acc = acc / l[i, i]
-        x[i : i + 1, :] = acc
-    return x if b.hi.ndim == 2 else DD(x.hi[:, 0], x.lo[:, 0])
+    return solve_upper(_coerce(l)[::-1, ::-1], b[::-1], unit_diag)[::-1]
 
 
 def inv_upper(u):

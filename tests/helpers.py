@@ -1,11 +1,11 @@
-"""Shared oracles and constructors for the test suite.
+"""Test-only oracles and constructors.
 
 Everything here is deliberately independent of the library's fast paths:
-extended-precision recomputation, exact rational arithmetic, dense
-Kronecker solves, column-by-column reference panels, and planted-spectrum
-constructions whose answers are known before any library code runs.  The
-contract checks of the spectral drivers compare their outputs with such
-oracles against the bounds of ``fastla.bounds``.
+column-by-column reference panels, extended-precision dense oracles
+(GEPP, solves, inverses, residuals), the exact determinant of a small
+integer matrix, dense Kronecker operators and two hand-built spectral
+inputs.  The input builders and contract checks that the acceptance
+criteria share with ``fastla verify`` live in ``fastla.verify``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fastla import bounds, dd
-from fastla.core import RngStream, as_matrix, gaussian_matrix, norm
+from fastla import dd
+from fastla.core import RngStream, as_matrix
 from fastla.baseline import jacobi_svd
 from fastla.rurv import haar_orthogonal
 
@@ -55,76 +55,6 @@ def exact_det(a) -> Fraction:
     return det(rows)
 
 
-def random_triangular(n: int, rng: RngStream, diag_scale=None, shift=0.0) -> np.ndarray:
-    """Random upper triangular matrix with controllable diagonal."""
-    t = np.triu(gaussian_matrix(n, n, rng))
-    if diag_scale is not None:
-        t[np.arange(n), np.arange(n)] = diag_scale
-    else:
-        d = t[np.arange(n), np.arange(n)]
-        t[np.arange(n), np.arange(n)] = np.where(d >= 0, d + shift, d - shift) if shift else d
-    return t
-
-
-def triangular_with_condition(n: int, kappa: float, rng: RngStream) -> np.ndarray:
-    """Upper triangular with geometrically graded diagonal, kappa-ish conditioning.
-
-    Off-diagonal entries are scaled down so the measured condition number
-    stays within a small factor of the diagonal grading.
-    """
-    t = np.triu(gaussian_matrix(n, n, rng), 1)
-    d = kappa ** (-np.arange(n) / max(n - 1, 1))
-    scale = 0.1 * np.minimum.outer(d, np.ones(n))
-    t = t * scale
-    t[np.arange(n), np.arange(n)] = d
-    return t
-
-
-def spd_with_condition(n: int, kappa: float, rng: RngStream) -> np.ndarray:
-    """SPD matrix with exact 2-norm condition number kappa (Haar conjugated)."""
-    q = haar_orthogonal(n, rng)
-    lam = kappa ** (-np.arange(n) / max(n - 1, 1))
-    h = (q * lam[None, :]) @ q.T
-    return 0.5 * (h + h.T)
-
-
-def planted_svd(n: int, sigma, rng: RngStream):
-    """A = P diag(sigma) Q^T with Haar P, Q; returns (a, p, q)."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    p = haar_orthogonal(n, rng.split(0))
-    q = haar_orthogonal(n, rng.split(1))
-    a = (p * sigma[None, :]) @ q.T
-    return a, p, q
-
-
-def planted_nonsymmetric(n: int, eigs, rng: RngStream, bump_scale: float = 0.5):
-    """Orthogonally conjugated quasi-triangular matrix with planted spectrum.
-
-    ``eigs`` is a list of reals and/or complex-conjugate pair markers
-    (complex numbers with positive imaginary part, each consuming two
-    dimensions).  Returns (a, complex eigenvalue array).
-    """
-    t = np.triu(gaussian_matrix(n, n, rng.split(0)), 1) * bump_scale
-    lam = []
-    i = 0
-    for e in eigs:
-        if isinstance(e, complex) and e.imag != 0.0:
-            re, im = e.real, abs(e.imag)
-            t[i, i] = re
-            t[i + 1, i + 1] = re
-            t[i, i + 1] = im
-            t[i + 1, i] = -im
-            lam.extend([complex(re, im), complex(re, -im)])
-            i += 2
-        else:
-            t[i, i] = float(e.real if isinstance(e, complex) else e)
-            lam.append(complex(t[i, i]))
-            i += 1
-    assert i == n
-    q = haar_orthogonal(n, rng.split(1))
-    return q @ t @ q.T, np.asarray(lam)
-
-
 def pairs_over_zero() -> np.ndarray:
     """A 17x17 with eigenvalues 0 and +-k i for k = 1..8, Haar-rotated:
     every vertical line crosses the spectrum or leaves it on one side, and
@@ -147,60 +77,6 @@ def tiny_tail_embedding() -> np.ndarray:
     q = haar_orthogonal(64, RngStream(2024).split(1))
     a = p @ np.diag(np.concatenate([np.linspace(1.0, 2.0, 32), np.logspace(-8, -12, 32)])) @ q.T
     return np.block([[np.zeros((64, 64)), a], [a.T, np.zeros((64, 64))]])
-
-
-def match_eigs(found, expected) -> float:
-    """Max matching distance between two complex multisets (greedy)."""
-    found = list(found)
-    expected = list(expected)
-    worst = 0.0
-    for e in expected:
-        dists = [abs(f - e) for f in found]
-        j = int(np.argmin(dists))
-        worst = max(worst, dists[j])
-        found.pop(j)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Contract checks of the spectral drivers.  Each returns the parts of the
-# contract a result misses, as "name value > bound" strings: [] passes.
-
-
-def _misses(checks) -> list:
-    return [f"{name} {value:.3e} > {bound:.3e}" for name, value, bound in checks
-            if not value <= bound]
-
-
-def _orth(name, q):
-    """Q orthonormal to the backward budget of its order."""
-    n = q.shape[1]
-    return (f"{name} orthogonality", norm(q.T @ q - np.eye(n)), bounds.backward(n))
-
-
-def svd_misses(a, u, s, v, s_ref) -> list:
-    """Singular values within ``spectral(||A||_F)`` of s_ref, A = U diag(s) V^T
-    to the same, and U, V orthonormal."""
-    na = norm(a)
-    return _misses([("sigma", float(np.max(np.abs(s - s_ref))), bounds.spectral(na)),
-                    ("reconstruction", norm(a - u @ np.diag(s) @ v.T), bounds.spectral(na)),
-                    _orth("U", u), _orth("V", v)])
-
-
-def eig_misses(a, q, lam, lam_ref) -> list:
-    """Symmetric eigenproblem: lam within ``spectral(||A||_F)`` of lam_ref as
-    sorted lists, A Q = Q diag(lam) to the same, and Q orthonormal."""
-    na = norm(a)
-    err = float(np.max(np.abs(np.sort(lam) - np.sort(lam_ref))))
-    return _misses([("eigenvalues", err, bounds.spectral(na)),
-                    ("residual", norm(a @ q - q @ np.diag(lam)), bounds.spectral(na)),
-                    _orth("Q", q)])
-
-
-def schur_misses(a, res) -> list:
-    """A = Q T Q^T to ``schur(n, splits) ||A||_F``, and Q orthonormal."""
-    bound = bounds.schur(a.shape[0], res.n_splits) * norm(a)
-    return _misses([("residual", norm(a - res.q @ res.t @ res.q.T), bound), _orth("Q", res.q)])
 
 
 def oracle_sigma(a) -> np.ndarray:
@@ -381,34 +257,6 @@ def dd_solve(a, b):
 def dd_inv(a):
     """Extended-precision inverse via GEPP column solves."""
     return dd_solve(a, dd.DD(np.eye(as_matrix(a).shape[0])))
-
-
-def sylvester_dd(a, b, c):
-    """Extended-precision column-by-column solve of A R - R B = -C.
-
-    This is the Kronecker-system oracle: the system is permuted
-    triangular, so substitution in double-word arithmetic solves it
-    exactly up to ~2^-105 roundoff.
-    """
-    a_dd = dd.DD(as_matrix(a))
-    b_dd = dd.DD(as_matrix(b))
-    c_dd = dd.DD(as_matrix(c))
-    n, m = c_dd.shape
-    r = dd.DD(np.zeros((n, m)))
-    for j in range(m):
-        rhs = -c_dd[:, j : j + 1]
-        if j > 0:
-            rhs = rhs + r[:, :j] @ b_dd[:j, j : j + 1]
-        shift = b_dd[j, j]
-        x = dd.DD(np.zeros((n, 1)))
-        for i in range(n - 1, -1, -1):
-            acc = rhs[i : i + 1, :]
-            if i + 1 < n:
-                acc = acc - a_dd[i : i + 1, i + 1 :] @ x[i + 1 :, :]
-            denom = a_dd[i, i] - shift
-            x[i : i + 1, :] = acc / denom
-        r[:, j : j + 1] = x
-    return r.to_float64()
 
 
 def kron_operator(a, b) -> np.ndarray:

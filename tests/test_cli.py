@@ -1,15 +1,15 @@
 import json
-import os
 
 import numpy as np
 import pytest
 
 from fastla import bounds
-from fastla.cli import main, payload_bytes
+from fastla.cli import main
 from fastla.core import RngStream, gaussian_matrix, read_matrix, write_matrix
 from fastla.inverse import gen_inv
+from fastla.verify import SUITES, random_triangular, spd_with_condition
 
-from helpers import pairs_over_zero, random_triangular, tiny_tail_embedding
+from helpers import pairs_over_zero, tiny_tail_embedding
 
 
 @pytest.fixture
@@ -86,6 +86,17 @@ class TestDecomposeOutputs:
         kappa = gen_inv(read_matrix(workdir / "A.mat"))[1].kappa
         assert results["bound"] == pytest.approx(bounds.backward(8) * kappa ** 2, rel=1e-11)
         assert results["predicted_bound"] == 1.0 > results["bound"]
+
+    def test_invert_tri_spd_bound_is_backward_grade(self, workdir):
+        # Their recurrence bounds clamp to 1 at n = 64, a bound that passes
+        # any X with ||XA - I||_F <= 1; backward(n) kappa does not.
+        t = np.triu(gaussian_matrix(64, 64, RngStream(3))) + 3.0 * np.eye(64)
+        for kind, a in [("tri", t), ("spd", spd_with_condition(64, 1e3, RngStream(4)))]:
+            write_matrix(workdir / f"{kind}64.mat", a)
+            rep = workdir / f"{kind}64.json"
+            assert run(["invert", "--in", workdir / f"{kind}64.mat", "--kind", kind,
+                        "--report", rep]) == 0
+            assert json.loads(rep.read_text())["payload"]["results"]["bound"] < 1e-3
 
     def test_invert_extended(self, workdir):
         rep = workdir / "inv-ext.json"
@@ -212,26 +223,25 @@ class TestBench:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["matmul", "qr", "lu", "inverse", "rurv",
-                                       "sylvester", "eig"])
-    def test_quick_suites_pass(self, suite, workdir):
-        rep = workdir / f"v-{suite}.json"
-        assert run(["verify", suite, "--quick", "--seed", 7, "--report", rep]) == 0
+    def test_matmul_quick_and_full_make_the_same_checks(self):
+        # The acceptance criteria compare the other suites' two runs.
+        assert [c["name"] for c in SUITES["matmul"](7, True)] == [
+            c["name"] for c in SUITES["matmul"](7, False)]
+
+    def test_seconds_per_suite_outside_payload(self, workdir):
+        rep = workdir / "v.json"
+        assert run(["verify", "theorem1", "--quick", "--report", rep]) == 0
         data = json.loads(rep.read_text())
-        assert data["payload"]["pass"] is True
+        assert list(data["timings"]["suite_s"]) == ["theorem1"]
+        assert data["payload"]["results"]["suites"] == ["theorem1"]
 
-    def test_fstat_suite(self, workdir):
-        assert run(["verify", "rurv-fstat", "--n", 24, "--r", 12, "--trials", 60,
-                    "--seed", 5, "--report", workdir / "vf.json"]) == 0
-
-    def test_determinism_byte_identical(self, workdir):
-        rep1 = workdir / "d1.json"
-        rep2 = workdir / "d2.json"
-        for rep in (rep1, rep2):
-            assert run(["verify", "qr", "--quick", "--seed", 7, "--report", rep]) == 0
-        d1 = json.loads(rep1.read_text())
-        d2 = json.loads(rep2.read_text())
-        assert payload_bytes(d1) == payload_bytes(d2)
+    @pytest.mark.parametrize("args", [["qr", "--n", 8], ["qr", "--r", 4],
+                                      ["qr", "--trials", 3], ["rurv-fstat"]])
+    def test_no_size_options(self, args):
+        # Each suite runs its criterion's inputs, or a cut of them (--quick).
+        with pytest.raises(SystemExit) as exc:
+            run(["verify"] + args)
+        assert exc.value.code == 2
 
 
 class TestExperiment:

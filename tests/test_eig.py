@@ -13,8 +13,10 @@ from fastla.eig import (DEFAULT_LINE_BUDGET, EIG_LEAF, SignDivergenceError, Spli
 from fastla.rurv import haar_orthogonal
 from fastla.sylvester import NotTriangularError, block_boundaries, block_eigenvalues
 
-from helpers import (eig_misses, match_eigs, pairs_over_zero, planted_nonsymmetric,
-                     random_triangular, schur_misses, svd_misses)
+from fastla.verify import (eig_checks, match_eigs, misses, planted_nonsymmetric, planted_svd,
+                           random_triangular, schur_checks, svd_checks)
+
+from helpers import pairs_over_zero
 
 CONV = MmEngine("conv")
 
@@ -155,7 +157,7 @@ class TestSchurDandC:
         a = a + a.T
         res = schur_dandc(a, rng=rng.split(1), symmetric=True)
         assert not res.flags
-        assert not eig_misses(a, res.q, np.diag(res.t), jacobi_eig(a)[1])
+        assert not misses(eig_checks(a, res.q, np.diag(res.t), jacobi_eig(a)[1]))
 
     def test_planted_spectrum(self, rng):
         n = 16
@@ -171,7 +173,7 @@ class TestSchurDandC:
             n = 24
             a = gaussian_matrix(n, n, rng.split(t))
             res = schur_dandc(a, rng=rng.split(100 + t))
-            assert not schur_misses(a, res)
+            assert not misses(schur_checks(a, res))
 
     def test_split_soundness(self, rng):
         # More rows than the leaf, so that there are splits to check.
@@ -287,7 +289,7 @@ class TestLeaf:
         for i in np.flatnonzero(sub):
             assert t[i, i] == t[i + 1, i + 1]
             assert t[i, i + 1] * t[i + 1, i] < 0.0
-        assert not schur_misses(a, res)
+        assert not misses(schur_checks(a, res))
         # evecr reads the bumps: each block's columns of V span an invariant
         # subspace of T to within its bound.
         v, err = evecr(t)
@@ -305,7 +307,7 @@ class TestLeaf:
             res = schur_dandc(a, rng=rng.split(100 + n), symmetric=True)
             assert any(node["kind"] == "leaf" for node in res.tree)
             np.testing.assert_array_equal(res.t, np.diag(np.diag(res.t)))
-            assert not eig_misses(a, res.q, np.diag(res.t), np.linalg.eigvalsh(a))
+            assert not misses(eig_checks(a, res.q, np.diag(res.t), np.linalg.eigvalsh(a)))
 
     @pytest.mark.parametrize("symmetric, flops_per_b3", [(True, 9), (False, 25)])
     def test_leaf_tally(self, rng, symmetric, flops_per_b3):
@@ -331,7 +333,7 @@ class TestLeaf:
         a = q @ np.diag(lam) @ q.T
         res = schur_dandc(a, symmetric=True)
         assert not res.flags
-        assert not eig_misses(a, res.q, np.diag(res.t), lam)
+        assert not misses(eig_checks(a, res.q, np.diag(res.t), lam))
 
 
 class TestSymmetricEig:
@@ -353,7 +355,7 @@ class TestSymmetricEig:
         a = gaussian_matrix(n, n, rng)
         a = a + a.T
         q, lam = symmetric_eig(a, rng=rng.split(1))
-        assert not eig_misses(a, q, lam, jacobi_eig(a)[1])
+        assert not misses(eig_checks(a, q, lam, jacobi_eig(a)[1]))
 
     def test_no_products_of_zero_blocks(self, rng, monkeypatch):
         # A symmetric split zeroes both off-diagonal blocks of T, so its
@@ -415,7 +417,7 @@ class TestSvdViaGram:
         ]
         for name, a, sub, deficient in cases:
             u, s, v, flags = svd_via_gram(a, rng=sub)
-            assert not svd_misses(a, u, s, v, jacobi_svd(a)[1]), name
+            assert not misses(svd_checks(a, u, s, v, s_ref=jacobi_svd(a)[1])), name
             assert flags or not deficient, name
 
     @pytest.mark.parametrize("seed, job", [(9, 72), (11, 48)])
@@ -428,19 +430,17 @@ class TestSvdViaGram:
         a = gaussian_matrix(64, 64, rng.split(0))
         u, s, v, flags = svd_via_gram(a, rng=rng.split(2).split(2))
         assert not flags
-        assert not svd_misses(a, u, s, v, jacobi_svd(a)[1])
+        assert not misses(svd_checks(a, u, s, v, s_ref=jacobi_svd(a)[1]))
 
     def test_graded_tail_misses_bound_only_when_flagged(self, rng):
         a, sigma = graded_tail(rng)
         u, s, v, flags = svd_via_gram(a, rng=rng.split(4))
-        assert flags or not svd_misses(a, u, s, v, np.sort(sigma)[::-1])
+        assert flags or not misses(svd_checks(a, u, s, v, s_ref=np.sort(sigma)[::-1]))
 
     def test_rank_deficiency_inside_unsplit_cluster_flagged(self):
         # sigma_min = 1e-12 sits in an unsplit cluster whose diagonal reads
         # 6.3e-11, above the 1e4 eps ||A||_F floor (1.9e-11); the cluster's
         # Gershgorin lower bound (-1.3e-9) is not, so the result is flagged.
-        from helpers import planted_svd
-
         n = 64
         sigma = np.concatenate([np.linspace(2.0, 1.0, 32), np.logspace(-8.0, -12.0, 32)])
         a, _, _ = planted_svd(n, sigma, RngStream(2024))
@@ -451,8 +451,6 @@ class TestSvdViaGram:
         assert norm(v.T @ v - np.eye(n)) <= bounds.backward(n)
 
     def test_graded_spectrum(self, rng):
-        from helpers import planted_svd
-
         sigma = np.array([10.0, 5.0, 1.0, 0.3, 0.05, 1e-3])
         a, _, _ = planted_svd(6, sigma, rng)
         u, s, v, flags = svd_via_gram(a, rng=rng.split(1))
@@ -497,7 +495,7 @@ class TestPolar:
         a, sigma = graded_tail(rng)
         u, s, v, flags = svd_via_gram(a, engine, rng=rng.split(4))
         assert not flags
-        assert not svd_misses(a, u, s, v, np.sort(sigma)[::-1])
+        assert not misses(svd_checks(a, u, s, v, s_ref=np.sort(sigma)[::-1]))
 
     def test_op_tally_within_five_symmetric_eigs(self, rng, engine):
         # One n x n symmetric eigensolve plus six QDWH steps (3.4-3.8 times

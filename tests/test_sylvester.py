@@ -9,8 +9,9 @@ from fastla.eig import evecr
 from fastla.matmul import MmEngine, OpCounter
 from fastla.sylvester import (NotTriangularError, SylvesterProblem, block_boundaries,
                               block_eigenvalues, sep_estimate, sylr, sylr_oracle_equivalence)
+from fastla.verify import random_triangular, sylvester_dd
 
-from helpers import kron_operator, random_triangular, sylvester_dd
+from helpers import kron_operator
 
 CONV = MmEngine("conv")
 
