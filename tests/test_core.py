@@ -221,6 +221,28 @@ class TestExtendedPrecision:
             got = Fraction(c.hi[0, 0]) + Fraction(c.lo[0, 0])
             assert abs(got - exact) <= Fraction(2) ** -105 * abs(exact)
 
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    def test_triangular_solves_exact_on_integer_systems(self, rng, lower, unit_diag):
+        # Small integers with a diagonal of +-1: every partial sum of the
+        # substitution is an exact integer, so the solution is exact.  NaN
+        # in the unread triangle (and, with a unit diagonal, on the
+        # diagonal) fails the test if the kernel reads it.
+        n = 13
+        g = np.round(3.0 * gaussian_matrix(n, n, rng.split(0)))
+        tri = np.tril if lower else np.triu
+        t = tri(g, -1 if lower else 1) + np.diag(np.where(g.diagonal() < 0, -1.0, 1.0))
+        if unit_diag:
+            t = t - np.diag(t.diagonal()) + np.eye(n)
+        x = np.round(3.0 * gaussian_matrix(n, 3, rng.split(1)))
+        stored = t + tri(np.full((n, n), np.nan), 1 if not lower else -1).T
+        if unit_diag:
+            np.fill_diagonal(stored, np.nan)
+        solve = dd.solve_lower if lower else dd.solve_upper
+        got = solve(stored, t @ x, unit_diag=unit_diag)
+        np.testing.assert_array_equal(got.hi, x)
+        np.testing.assert_array_equal(got.lo, np.zeros_like(x))
+
     def test_matmul_bit_reproducible(self, rng):
         # Every level of the product is an exact integer sum, so an entry
         # depends only on its row of A and column of B: repeating, slicing
