@@ -1,12 +1,13 @@
 """Conventional reference algorithms, blocked LU/QR and the triangular solve.
 
-These are the slow-but-trusted routines: Householder QR in WY form,
-right-looking Gaussian elimination with partial pivoting, a column-by-column
-triangular Sylvester solve, one-sided Jacobi SVD and two-sided Jacobi
-eigensolvers (the desk-scale oracles), plus the classic blocked LU/QR whose
-trailing updates run through a pluggable multiplication engine.  The blocked
-algorithms process b columns at a time; the cost-minimizing block size for a
-multiplication exponent gamma is n^(1/(4-gamma)).
+These are the slow-but-trusted routines: Householder QR in WY form (one
+LAPACK ``dgeqrf`` per panel), right-looking Gaussian elimination with
+partial pivoting, a column-by-column triangular Sylvester solve, one-sided
+Jacobi SVD and two-sided Jacobi eigensolvers (the desk-scale oracles), plus
+the classic blocked LU/QR whose trailing updates run through a pluggable
+multiplication engine.  The blocked algorithms process b columns at a time;
+the cost-minimizing block size for a multiplication exponent gamma is
+n^(1/(4-gamma)).
 
 ``solve_triangular`` is the library's one triangular-solve kernel: the 2x2
 block recursion solves one diagonal block, subtracts its off-diagonal
@@ -20,7 +21,6 @@ the leaf is plain back substitution with no Python loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,58 +72,60 @@ def block_cost_exponent(gamma: float) -> float:
 
 
 def panel_qr_wy(a, counter=None):
-    """In-place Householder QR of a panel, accumulating the WY form.
+    """In-place Householder QR of a panel by one LAPACK ``dgeqrf``, in WY form.
 
     Overwrites ``a`` with R (exact zeros below the diagonal) and returns
     (W, Y, degenerate_columns) for Q^T = I - W Y on the panel's row range.
-    Column j's reflector w has ||w|| = 1 and is written straight into
-    W[j:, j], with the paired Y row 2 w^T in Y[j, j:]; the sign choice
-    R_jj = -sign(a_jj) ||a_j|| avoids cancellation.  A zero column yields
-    the degenerate w = e_j with a zero Y row.  The op tallies are summed in
-    locals and counted once.
+    ``dgeqrf`` returns the reflectors H_j = I - tau_j v_j v_j^T (v_jj = 1)
+    with the sign rule R_jj = -sign(a_jj) ||a_j||.  Their compact form
+    Q^T = I - V T^T V^T, with T from T^-1 = striu(V^T V) + diag(1/tau)
+    (Joffrain, Low, Quintana-Orti, van de Geijn & Van Zee, ACM TOMS 2006),
+    is rescaled to Y = S V^T and W = V T^T S^-1 with S = diag(sqrt(2 tau)),
+    so W has unit columns and Y rows of norm 2.  A column that is already
+    triangular is not reflected (tau = 0, R_jj keeps a_jj's sign): it gets
+    W column e_j and a zero Y row.  It is degenerate when R_jj == 0, i.e.
+    the column was zero.  The op tallies are those of the column-by-column
+    Householder loop, in closed form (``_panel_tally``).
     """
     n, m = a.shape
-    w_acc = np.zeros((n, m))
-    y_acc = np.zeros((m, n))
-    degenerate = []
-    mults = adds = 0
-    for j in range(min(n, m)):
-        k = n - j
-        x = a[j:, j]
-        sigma = math.sqrt((x * x).sum())
-        mults += k
-        adds += k - 1
-        if sigma == 0.0:
-            degenerate.append(j)
-            w_acc[j, j] = 1.0
-            x[:] = 0.0
-            continue
-        s = 1.0 if x[0] >= 0.0 else -1.0
-        w = x.copy()
-        w[0] += s * sigma
-        w /= math.sqrt((w * w).sum())
-        w_acc[j:, j] = w
-        yf = y_acc[j]
-        np.multiply(w, 2.0, out=yf[j:])
-        mults += 2 * k
-        adds += k
-        if j + 1 < m:
-            cols = m - j - 1
-            t = yf[j:] @ a[j:, j + 1 :]
-            a[j:, j + 1 :] -= w[:, None] * t
-            mults += 2 * k * cols
-            adds += (2 * k - 1) * cols
-        a[j, j] = -s * sigma
-        a[j + 1 :, j] = 0.0
-        if j > 0:
-            # Full-length rows, zeros above j included, keep the sums' order.
-            t = yf @ w_acc[:, :j]
-            w_acc[:, :j] -= w_acc[:, j, None] * t
-            mults += 2 * n * j
-            adds += 2 * n * j
+    p = min(n, m)
+    h, tau = np.linalg.qr(a, mode="raw")
+    h = h.T
+    below = np.arange(n)[:, None] > np.arange(m)
+    np.copyto(a, h)
+    a[below] = 0.0
+    live = tau != 0.0
+    v = (np.where(below[:, :p], h[:, :p], 0.0) + np.eye(n, p))[:, live]
+    k = v.shape[1]
+    scale = np.sqrt(2.0 * tau[live])
+    t_inv = np.where(below[:k, :k].T, v.T @ v, 0.0)
+    t_inv.flat[:: k + 1] = 1.0 / tau[live]
+    w = np.eye(n, m)
+    w[:, :p][:, live] = (v @ np.linalg.inv(t_inv).T) / scale
+    y = np.zeros((m, n))
+    y[:p][live] = scale[:, None] * v.T
+    degenerate = [int(j) for j in np.flatnonzero(h.diagonal() == 0.0)]
     if counter is not None:
-        counter.count(mults=mults, adds=adds)
-    return w_acc, y_acc, degenerate
+        counter.count(*_panel_tally(n, m, degenerate))
+    return w, y, degenerate
+
+
+def _panel_tally(n, m, degenerate):
+    """(mults, adds) of the column-by-column Householder panel, summed over
+    its min(n, m) columns j in closed form: a norm of k = n - j entries for
+    each, and for each column that is not degenerate the reflector (2k, k),
+    the update of the m - j - 1 columns to its right and the WY update
+    (2 n j, 2 n j), that is 2nm - 2mj + 2j^2 mults and
+    n + (2n - 1)(m - 1) - 2(m - 1)j + 2j^2 adds."""
+    p = min(n, m)
+    s1 = p * (p - 1) // 2
+    s2 = (p - 1) * p * (2 * p - 1) // 6
+    mults = n * p - s1 + 2 * n * m * p - 2 * m * s1 + 2 * s2
+    adds = (n - 1) * p - s1 + (n + (2 * n - 1) * (m - 1)) * p - 2 * (m - 1) * s1 + 2 * s2
+    for j in degenerate:
+        mults -= 2 * n * m - 2 * m * j + 2 * j * j
+        adds -= n + (2 * n - 1) * (m - 1) - 2 * (m - 1) * j + 2 * j * j
+    return mults, adds
 
 
 def householder_qr(a, nonneg_diag=True, counter=None):
@@ -132,7 +134,8 @@ def householder_qr(a, nonneg_diag=True, counter=None):
     Returns the explicit n-by-n orthogonal Q and the n-by-m upper
     triangular R.  With ``nonneg_diag`` the factors are sign-fixed so the
     diagonal of R is nonnegative; the raw reflector convention
-    (R_jj = -sign(a_jj) ||a_j||) is available with ``nonneg_diag=False``.
+    (R_jj = -sign(a_jj) ||a_j||) is available with ``nonneg_diag=False``,
+    where a column needing no reflection keeps a_jj's sign in R_jj.
     """
     a = as_matrix(a).copy()
     n, m = a.shape

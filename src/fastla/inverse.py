@@ -12,20 +12,26 @@ algorithm has one recursion body, generic over its operand type: the entry
 points lift the input to a ``dd.DD`` array when ``precision="extended"``,
 ``multiply`` turns double-word operands into double-word products, and the
 result is rounded to working precision at the end.  Small helpers
-(``_like``, ``_hi``, ``_symmetrize``) hide the representation; the one
-place the bodies tell the types apart is the double-word base case: a DD
-block of at most ``_DD_LEAF`` rows first tries the leaf ``_dd_leaf_inv``,
-in which numpy's float64 LAPACK inverse of the block's hi part seeds
-Newton-Schulz steps X <- X + X (I - T X) in double-word arithmetic
-(Schulz 1933; Higham, Accuracy and Stability of Numerical Algorithms,
-ch. 14).  A leaf whose seed is non-finite, whose first residual
-||I - T X||_inf is not below 1/2, or whose last residual exceeds EPS is
-rejected, and the block splits as in working precision, down to the
-shared 1x1 pivots that detect indefiniteness.  The SPD recursion reads only the upper triangle of each
-block, so its leaf inverts the block as read from that triangle and
-returns the symmetric part (X + X^T)/2 of the refined inverse; otherwise
-Newton would invert the roundoff asymmetry of the double-word Schur
-complements exactly, and the asymmetry would grow down the recursion.
+(``_like``, ``_hi``, ``_symmetrize``) hide the representation.
+
+Both precisions stop the SPD recursion at blocks of at most ``_DD_LEAF``
+rows, a base case of bounded size on which the paper's exponent does not
+depend.  The leaf ``_spd_leaf_inv`` reads the block from its upper
+triangle, as the recursion does, and takes numpy's LAPACK inverse once the
+block's Cholesky factorization succeeds.  A working-precision block returns
+the symmetric part of that inverse and tallies what splitting it would
+have.  A double-word block, SPD or triangular, refines the float64 inverse
+of its hi part in ``_dd_leaf_inv`` by Newton-Schulz steps
+X <- X + X (I - T X) in double-word arithmetic (Schulz 1933; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 14).  A leaf whose seed
+is non-finite, whose first residual ||I - T X||_inf is not below 1/2, or
+whose last residual exceeds EPS is rejected.  The SPD leaf returns the
+symmetric part (X + X^T)/2 of the refined inverse; otherwise Newton would
+invert the roundoff asymmetry of the double-word Schur complements exactly,
+and the asymmetry would grow down the recursion.  A rejected leaf, or one
+whose Cholesky factorization fails, splits as a larger block does, down to
+the shared 1x1 pivots that detect indefiniteness.  Working-precision
+triangular blocks recurse to 1x1 pivots.
 
 ``predicted_bound`` in the report evaluates the error recurrences of
 ``bounds`` with the measured condition number and the engine's measured
@@ -35,6 +41,7 @@ promised).  The symmetry tolerance of ``spd_inv`` is ``bounds.SYMMETRY_TOL``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +50,11 @@ from . import bounds, dd
 from .baseline import SingularMatrixError
 from .core import (EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix,
                    norm, require_finite)
-from .matmul import CONVENTIONAL, MmEngine, measure_mm_error, multiply
+from .matmul import CONVENTIONAL, MmEngine, OpCounter, measure_mm_error, multiply
 
-# Double-word blocks of at most this many rows try the Newton leaf
-# (see _dd_leaf_inv); 16 and 64 were both slower on n = 128 inputs.
+# Blocks of at most this many rows try a LAPACK leaf: SPD blocks in both
+# precisions, triangular ones in double-word (see _spd_leaf_inv and
+# _dd_leaf_inv); 16 and 64 were both slower on n = 128 double-word inputs.
 _DD_LEAF = 32
 
 _mu_cache: dict = {}
@@ -201,9 +209,11 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     """Invert a symmetric positive definite matrix recursively.
 
     Follows the Schur-complement pseudocode (Ai, AiB, BAiB, S, Si, AiBSi,
-    AiBSiBAi); positive definiteness is detected lazily at the 1x1 base
-    case.  The output is symmetrized, since the exact-arithmetic symmetry
-    of the formula is lost to roundoff.
+    AiBSiBAi) down to blocks of at most ``_DD_LEAF`` rows, which are
+    inverted by LAPACK once their Cholesky factorization succeeds.  A block
+    whose factorization fails splits on, and indefiniteness is detected at
+    the 1x1 pivots.  The output is symmetrized, since the exact-arithmetic
+    symmetry of the formula is lost to roundoff.
     """
     h = as_matrix(h)
     n = h.shape[0]
@@ -230,17 +240,10 @@ def _spd_inv_rec(h, engine, counter):
         if counter is not None:
             counter.count(mults=1)
         return _like(h, np.ones((1, 1))) / h
-    if n <= _DD_LEAF and isinstance(h, dd.DD):
-        # The block as the recursion reads it: its upper triangle.
-        hs = dd.DD(np.triu(h.hi) + np.triu(h.hi, 1).T, np.triu(h.lo) + np.triu(h.lo, 1).T)
-        try:
-            np.linalg.cholesky(hs.hi)
-            seed = np.linalg.inv(hs.hi)
-        except np.linalg.LinAlgError:
-            seed = None
-        x = _dd_leaf_inv(hs, seed, engine, counter)
+    if n <= _DD_LEAF:
+        x = _spd_leaf_inv(h, engine, counter)
         if x is not None:
-            return _symmetrize(x)
+            return x
     s = n // 2
     a = h[:s, :s]
     b = h[:s, s:]
@@ -265,6 +268,50 @@ def _spd_inv_rec(h, engine, counter):
     x[s:, :s] = -aibsi.T
     x[s:, s:] = si
     return x
+
+
+def _spd_leaf_inv(h, engine, counter):
+    """The inverse of a leaf block from its Cholesky-checked LAPACK inverse.
+
+    The block is read as the recursion reads it, from its upper triangle.
+    Returns None, and the block splits, when the Cholesky factorization of
+    its working-precision part fails or the inverse is not finite.  A DD
+    block refines the inverse by ``_dd_leaf_inv``; a working-precision
+    block takes it as is and tallies what the split would have.
+    """
+    up = np.triu(_hi(h))
+    hs = up + np.triu(up, 1).T
+    try:
+        np.linalg.cholesky(hs)
+        seed = np.linalg.inv(hs)
+    except np.linalg.LinAlgError:
+        return None
+    if isinstance(h, dd.DD):
+        lo = np.triu(h.lo)
+        x = _dd_leaf_inv(dd.DD(hs, lo + np.triu(lo, 1).T), seed, engine, counter)
+        return None if x is None else _symmetrize(x)
+    if not np.all(np.isfinite(seed)):
+        return None
+    if counter is not None:
+        counter.count(*_spd_split_tally(h.shape[0], engine))
+    return _symmetrize(seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _spd_split_tally(n, engine):
+    """(mults, adds) that ``_spd_inv_rec`` tallies splitting an n-row block
+    to 1x1 pivots: C(1) = (1, 0), and C(n) = C(s) + C(n - s) plus the four
+    products and the (n - s)^2 + s^2 adds, each product tallied as
+    ``multiply`` tallies it under ``engine``."""
+    if n == 1:
+        return 1, 0
+    s = n // 2
+    t = n - s
+    probe = OpCounter()
+    for p, q, r in ((s, s, t), (t, s, t), (s, t, t), (s, t, s)):
+        multiply(np.zeros((p, q)), np.zeros((q, r)), engine, probe)
+    (m1, a1), (m2, a2) = _spd_split_tally(s, engine), _spd_split_tally(t, engine)
+    return m1 + m2 + probe.scalar_mults, a1 + a2 + probe.scalar_adds + t * t + s * s
 
 
 # perfbench/tracing.py still wraps the inversion bodies under these names.

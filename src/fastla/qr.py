@@ -7,9 +7,10 @@ recurses on the trailing block, and merges the two WY factors:
     Q^T = (I - [0; W_R][0, Y_R]) (I - W_L Y_L)
         = I - [W_L - [0; W_R (Y_R W_L_low)], [0; W_R]] [Y_L; [0, Y_R]]
 
-The base case is the conventional Householder panel (reflector sign
-R_jj = -sign(a_jj) ||a_j||) on blocks of at most ``DEFAULT_PANEL_CUTOFF`` = 8
-columns.
+The base case is the Householder panel ``panel_qr_wy``, one LAPACK
+``dgeqrf`` call (reflector sign R_jj = -sign(a_jj) ||a_j||; a column that is
+already triangular is not reflected), on blocks of at most
+``DEFAULT_PANEL_CUTOFF`` = 8 columns.
 """
 
 from __future__ import annotations
@@ -141,15 +142,19 @@ def solve_ls(a, b, engine: MmEngine = CONVENTIONAL, counter=None):
 
 
 def determinant(a, engine: MmEngine = CONVENTIONAL, counter=None) -> float:
-    """det(A) = (-1)^n * prod(R_ii) from the QR decomposition."""
+    """det(A) = (-1)^k * prod(R_ii) from the QR decomposition.
+
+    k is the number of reflections applied, the nonzero rows of Y: a column
+    that is already triangular is not reflected.
+    """
     a = as_matrix(a)
     n, m = a.shape
     if n != m:
         raise DimensionError("determinant requires a square matrix")
     res = qrr(a, engine, counter, with_report=False)
-    diag = np.diag(res.r)
-    sign = -1.0 if n % 2 else 1.0
-    return sign * float(np.prod(diag))
+    reflections = int(np.count_nonzero(res.q.y.any(axis=1)))
+    sign = -1.0 if reflections % 2 else 1.0
+    return sign * float(np.prod(np.diag(res.r)))
 
 
 @dataclass

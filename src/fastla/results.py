@@ -12,8 +12,10 @@ class WYFactor:
     """Compact orthogonal factor Q^T = I - W Y.
 
     W is n-by-m with unit-norm columns, Y is m-by-n with rows of norm 2;
-    both are lower/upper trapezoidal respectively.  Products against Q or
-    Q^T never form the n-by-n matrix unless explicitly requested.
+    both are lower/upper trapezoidal respectively.  A column the panel did
+    not reflect (already triangular, or zero) has a zero Y row.  Products
+    against Q or Q^T never form the n-by-n matrix unless explicitly
+    requested.
     """
 
     w: np.ndarray

@@ -124,8 +124,9 @@ def strassen_reference(a, b, cutoff: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Column-by-column reference panels: the library's base panels must match
-# these bit for bit, op tallies included.
+# Column-by-column reference panels: the library's GEPP panel must match its
+# reference bit for bit and its Householder panel normwise, op tallies
+# included for both.
 
 
 def reflector_reference(x, counter=None):

@@ -7,7 +7,7 @@ from fastla.baseline import (BlockConfig, SylvesterSingularError, _gepp_panel,
                              block_cost_exponent, block_lu, block_qr, conventional_sylvester,
                              gepp_lu, householder_qr, jacobi_eig, jacobi_svd, panel_qr_wy,
                              pivot_growth, recommended_block_size)
-from fastla.matmul import MmEngine, OpCounter, multiply
+from fastla.matmul import MmEngine, OpCounter
 
 from helpers import (dd_residual_lu, dd_residual_qr, gepp_panel_reference,
                      panel_qr_wy_reference)
@@ -58,12 +58,16 @@ def _panel(case):
         a = gaussian_matrix(10, 4, rng)
         a[0, 0] = -1.0 - np.max(np.abs(a[:, 0]))
         return a
+    if case == "triangular lead":
+        a = gaussian_matrix(10, 4, rng)
+        a[1:, 0] = 0.0
+        return a
     assert case == "pivot tie"
     return np.array([[1.0], [-1.0]])
 
 
 PANEL_CASES = ["1x1", "7x3", "8x8", "64x8", "384x8", "strided view", "zero column", "rank 1",
-               "negative lead", "pivot tie"]
+               "negative lead", "triangular lead", "pivot tie"]
 
 
 def _same_bits(x, y):
@@ -73,8 +77,9 @@ def _same_bits(x, y):
 
 
 class TestBasePanels:
-    """The vectorized panels against their column-by-column references:
-    every output bit for bit (signs of zeros included) and equal op tallies."""
+    """The library's panels against their column-by-column references: the
+    GEPP panel bit for bit (signs of zeros included), the LAPACK Householder
+    panel normwise; op tallies equal for both."""
 
     @pytest.mark.parametrize("case", PANEL_CASES)
     def test_gepp_panel_matches_reference(self, case):
@@ -92,17 +97,35 @@ class TestBasePanels:
 
     @pytest.mark.parametrize("case", PANEL_CASES)
     def test_panel_qr_wy_matches_reference(self, case):
-        work, ref = _panel(case), _panel(case)
+        a = _panel(case)
+        work, ref = a.copy(), a.copy()
         count, ref_count = OpCounter(), OpCounter()
         w, y, degenerate = panel_qr_wy(work, count)
         ref_w, ref_y, ref_degenerate = panel_qr_wy_reference(ref, ref_count)
-        for got, want in ((work, ref), (w, ref_w), (y, ref_y)):
-            assert _same_bits(got, want)
         assert degenerate == ref_degenerate
         assert count == ref_count
         assert (degenerate == [2]) == (case == "zero column")
+        n, m = a.shape
+        tol = 16 * m * EPS
+        assert np.array_equal(np.tril(work, -1), np.zeros_like(work))
+        # The reference reflects a column that is already triangular and
+        # LAPACK does not, so the two agree up to the signs D of R's rows.
+        d = np.ones(n)
+        d[:m] = np.where(np.sign(np.diag(work)) == np.sign(np.diag(ref)), 1.0, -1.0)
+        assert norm(d[:, None] * work - ref) <= tol * norm(a)
+        qt, ref_qt = np.eye(n) - w @ y, np.eye(n) - ref_w @ ref_y
+        # Row i of Q^T is e_i^T H_i ... H_0; past the first column of a
+        # rank-1 panel the reflectors are rounding noise.
+        rows = 1 if case == "rank 1" else n
+        assert norm((d[:, None] * qt - ref_qt)[:rows]) <= tol * np.sqrt(n)
+        assert norm(qt @ a - work) <= tol * norm(a)
+        np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, atol=tol)
+        reflected = y.any(axis=1)
+        np.testing.assert_allclose(np.linalg.norm(y[reflected], axis=1), 2.0, atol=tol)
         if case == "negative lead":
             assert work[0, 0] > 0.0  # R_00 = -sign(a_00) ||a_0||
+        if case == "triangular lead":
+            assert work[0, 0] == a[0, 0] and not reflected[0]  # tau_0 = 0
 
 
 class TestGeppLu:

@@ -126,6 +126,52 @@ class TestSpdInv:
             spd_inv(a + a.T + 0.1 * np.array([[0, 1, 0, 0]] * 4))
 
 
+class TestWorkingLeaf:
+    """The working-precision SPD leaf: one Cholesky-checked LAPACK inverse
+    per block of at most 32 rows, tallied as the split it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 64])
+    def test_indefinite_rejected(self, rng, n):
+        q = haar_orthogonal(n, rng.split(n))
+        lam = np.linspace(1.0, 2.0, n)
+        lam[n // 2] = -1.0
+        h = (q * lam[None, :]) @ q.T
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_inv(0.5 * (h + h.T))
+
+    def test_tallies_follow_the_recurrence(self):
+        def split(n):
+            if n == 1:
+                return 1, 0
+            s, t = n // 2, n - n // 2
+            (m1, a1), (m2, a2) = split(s), split(t)
+            mults = s * s * t + t * s * t + s * t * t + s * t * s
+            adds = s * (s - 1) * t + t * (s - 1) * t + s * (t - 1) * t + s * (t - 1) * s
+            return m1 + m2 + mults, a1 + a2 + adds + t * t + s * s
+
+        for n in range(1, 41):
+            counter = OpCounter()
+            spd_inv(np.eye(n) + np.ones((n, n)), counter=counter, with_report=False)
+            assert (counter.scalar_mults, counter.scalar_adds) == split(n), n
+
+    def test_identity_exact(self):
+        for n in (1, 5, 32, 40):
+            np.testing.assert_array_equal(spd_inv(np.eye(n))[0], np.eye(n))
+
+    def test_gen_inv_call_count(self, rng, monkeypatch):
+        # Recursing to 1x1 blocks made 767 calls here.
+        calls = []
+        body = fastla.inverse._spd_inv_rec
+
+        def counted(h, engine, counter):
+            calls.append(h.shape[0])
+            return body(h, engine, counter)
+
+        monkeypatch.setattr(fastla.inverse, "_spd_inv_rec", counted)
+        gen_inv(gaussian_matrix(384, 384, rng), with_report=False)
+        assert 0 < len(calls) <= 40
+
+
 class TestExtendedLeaf:
     """The double-word recursions' Newton-refined leaf blocks."""
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from fastla import bounds, dd
 from fastla.core import EPS, RngStream, gaussian_matrix, norm
-from fastla.matmul import (ErrorModel, MmEngine, OpCounter, fit_exponent,
-                           measure_mm_error, multiply)
+from fastla.matmul import MmEngine, OpCounter, fit_exponent, measure_mm_error, multiply
 
 from helpers import strassen_reference
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastla import bounds
-from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
+from fastla.core import EPS, NonFiniteInputError, gaussian_matrix, norm
 from fastla.baseline import householder_qr
 from fastla.inverse import gen_inv, solve_via_inverse, spd_inv, tri_inv
 from fastla.lu import lur
@@ -61,14 +61,17 @@ class TestQrrBasics:
 
     def test_wy_normalization_all_depths(self, rng):
         # Property (2)/(3): unit W columns, norm-2 Y rows on the final output
-        # at every size the recursion passes through.
+        # at every size the recursion passes through.  The last column of a
+        # square matrix is one entry, already triangular: it is not
+        # reflected and its Y row is zero.
         for n in (2, 4, 8, 16, 32, 64, 128):
             a = gaussian_matrix(n, n, rng.split(n))
             res = qrr(a, CONV)
             wn = np.linalg.norm(res.q.w, axis=0)
             yn = np.linalg.norm(res.q.y, axis=1)
             np.testing.assert_allclose(wn, 1.0, atol=1e-8)
-            np.testing.assert_allclose(yn, 2.0, atol=1e-8)
+            np.testing.assert_allclose(yn[:-1], 2.0, atol=1e-8)
+            assert yn[-1] == 0.0
 
     def test_base_case_bit_identical_to_householder(self, rng):
         col = gaussian_matrix(9, 1, rng)
@@ -166,6 +169,13 @@ class TestDeterminant:
 
     def test_diag(self):
         assert determinant(np.diag([2.0, 3.0])) == pytest.approx(6.0, rel=100 * EPS)
+
+    def test_sign_without_reflections(self):
+        # Columns already triangular are not reflected, so (-1)^n is not the sign.
+        assert determinant(np.eye(3)) == 1.0
+        assert determinant(np.diag([-1.0, 2.0, 3.0])) == -6.0
+        u = np.triu(np.arange(1.0, 26.0).reshape(5, 5)) - 4.0 * np.eye(5)
+        assert determinant(u) == pytest.approx(float(np.prod(np.diag(u))), rel=100 * EPS)
 
     def test_vs_exact_cofactor_oracle(self, rng):
         gen = rng.generator()

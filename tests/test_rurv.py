@@ -6,7 +6,7 @@ from fastla.core import RngStream, gaussian_matrix, norm
 from fastla.baseline import jacobi_svd
 from fastla.matmul import MmEngine
 from fastla.rurv import (exact_rank_probe, f_statistic_experiment, haar_orthogonal,
-                         rank_reveal_report, reconstruct, rurv)
+                         rank_reveal_report, rurv)
 from fastla.verify import planted_svd
 
 CONV = MmEngine("conv")
