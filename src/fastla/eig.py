@@ -3,14 +3,16 @@ and eigenvector assembly.
 
 One split works like this: a Moebius transform maps the chosen dividing
 line (or circle, tried for a nonsymmetric block when no line splits it) to
-the imaginary axis, the Newton iteration A_{i+1} = (A_i + A_i^-1)/2 drives
-the transformed matrix to its sign, P+ = (sign + I)/2 is the spectral
-projector, and a randomized rank-revealing factorization of P+ yields an
-orthogonal Q whose leading columns span the invariant subspace.  The
-split dimension r is chosen by minimizing the entrywise-sum norm of the
-below-block of Q^T A Q over all r in O(n^2) (ColSum/RowSum recurrences); a
-split is accepted only when that norm is at most 1e3 eps ||A||_F, so each
-split drops a block below the eigenvalue and SVD bounds of 1e4 eps ||A||_F.
+the imaginary axis, the sign iteration drives the transformed matrix to its
+sign (each step is the Newton step X <- (X + X^-1)/2 or, once
+||I - X^2||_1 <= 1/2, the Newton-Schulz step X <- X + X(I - X^2)/2, which
+needs products only), P+ = (sign + I)/2 is the spectral projector, and a
+randomized rank-revealing factorization of P+ yields an orthogonal Q whose
+leading columns span the invariant subspace.  The split dimension r is
+chosen by minimizing the entrywise-sum norm of the below-block of Q^T A Q
+over all r in O(n^2) (ColSum/RowSum recurrences); a split is accepted only
+when that norm is at most 1e3 eps ||A||_F, so each split drops a block
+below the eigenvalue and SVD bounds of 1e4 eps ||A||_F.
 These bounds, the Schur residual bound and the eigenvector bound of
 ``evecr`` are evaluated in ``bounds``.
 A rejected split is retried with a fresh random factorization a few times,
@@ -56,6 +58,9 @@ from .sylvester import _checked_blocks, _sylr_rec, block_eigenvalues, sep_estima
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_SIGN_ITERS = 40
 SIGN_CONV_TOL = math.sqrt(EPS)
+# The sign iteration takes a product-only Newton-Schulz step once
+# ||I - X^2||_1 is at most this (see sign_function).
+SCHULZ_SWITCH = 0.5
 DEFAULT_LINE_BUDGET = 7
 # Blocks of at most this many rows finish with one LAPACK call (see
 # _leaf_schur): below it a split's sign iteration and RURV cost mostly
@@ -131,23 +136,43 @@ class EigError:
 
 
 def sign_function(a, engine: MmEngine = CONVENTIONAL, counter=None) -> np.ndarray:
-    """Newton iteration for sign(A); requires no eigenvalue on the imaginary axis.
+    """sign(A) by Newton and Newton-Schulz steps; requires no eigenvalue on
+    the imaginary axis.
+
+    Each step forms R = I - X^2 by one product.  If ||R||_1 <= SCHULZ_SWITCH
+    it takes the Newton-Schulz step X <- X + X R / 2, two products and no
+    inversion (Kenney & Laub, SIMAX 1991; Higham, Functions of Matrices,
+    ch. 5).  Its residual obeys R' = 3/4 R^2 + 1/4 R^3, so from ||R|| <= 1/2
+    it is at most 0.22 and falls quadratically.  The residual form adds a
+    small correction to X, so it rounds less than X (3I - X^2) / 2.
+    Otherwise it takes the Newton step X <- (X + X^-1)/2.  The branch is
+    chosen afresh at every step, so an iterate that leaves the basin goes
+    back to Newton.  A square that overflows reads as outside the basin, and
+    the Newton step then rejects the non-finite iterate.
 
     Stops when a step moves X by at most SIGN_CONV_TOL relative in the
-    1-norm, and raises SignDivergenceError after DEFAULT_SIGN_ITERS steps or
-    at a singular or non-finite iterate.
+    1-norm, and raises SignDivergenceError after DEFAULT_SIGN_ITERS steps of
+    either kind or at a singular or non-finite iterate.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError("sign_function requires a square matrix")
     require_finite("sign_function", a)
     x = a.copy()
+    eye = np.eye(x.shape[0])
     for _ in range(DEFAULT_SIGN_ITERS):
-        try:
-            xi = _inv_and_logdet(x, engine, counter)
-        except (SingularMatrixError, NonFiniteInputError) as exc:
-            raise SignDivergenceError("singular or non-finite sign iterate") from exc
-        new = 0.5 * (x + xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = eye - multiply(x, x, engine, counter)
+        if counter is not None:
+            counter.count(adds=x.shape[0])
+        if norm(r, "one") <= SCHULZ_SWITCH:
+            new = x + 0.5 * multiply(x, r, engine, counter)
+        else:
+            try:
+                xi = _inv_and_logdet(x, engine, counter)
+            except (SingularMatrixError, NonFiniteInputError) as exc:
+                raise SignDivergenceError("singular or non-finite sign iterate") from exc
+            new = 0.5 * (x + xi)
         if counter is not None:
             counter.count(mults=new.size, adds=new.size)
         step = norm(new - x, "one")

@@ -6,8 +6,9 @@ from fastla.core import EPS, DimensionError, NonFiniteInputError, RngStream, gau
 from fastla.baseline import jacobi_eig, jacobi_svd
 from fastla.lu import solve_linear
 from fastla.matmul import MmEngine, OpCounter, fit_exponent, multiply
-from fastla.eig import (DEFAULT_LINE_BUDGET, EIG_LEAF, SignDivergenceError, SplitRegion,
-                        _candidate_lines, _polar, evecr,
+from fastla import eig
+from fastla.eig import (DEFAULT_LINE_BUDGET, DEFAULT_SIGN_ITERS, EIG_LEAF, SIGN_CONV_TOL,
+                        SignDivergenceError, SplitRegion, _candidate_lines, _polar, evecr,
                         gershgorin_rectangle, norm_a21_profile, schur_dandc,
                         sign_function, split_once, svd_via_gram, symmetric_eig)
 from fastla.rurv import haar_orthogonal
@@ -26,6 +27,29 @@ def graded_tail(rng, n=64):
     p, q = haar_orthogonal(n, rng.split(2)), haar_orthogonal(n, rng.split(3))
     sigma = np.concatenate([np.linspace(1.0, 2.0, 32), np.logspace(-3.0, -6.0, 32)])
     return p @ np.diag(sigma) @ q.T, sigma
+
+
+def constructed_sign_input(rng):
+    """X diag(d) X^-1 with d near +-1, its sign X diag(sign d) X^-1, and kappa(X)."""
+    n = 12
+    x = np.eye(n) + 0.2 * gaussian_matrix(n, n, rng.split(0))
+    d = np.concatenate([1.0 + 0.2 * rng.split(1).gaussians(6) * 0.5,
+                        -1.0 + 0.2 * rng.split(2).gaussians(6) * 0.5])
+    xinv = solve_linear(x, np.eye(n))
+    kappa_x = jacobi_svd(x)[1][0] / jacobi_svd(x)[1][-1]
+    return x @ np.diag(d) @ xinv, x @ np.diag(np.sign(d)) @ xinv, kappa_x
+
+
+def count_inversions(monkeypatch):
+    """Patch eig._inv_and_logdet to count its calls; returns the call list."""
+    calls, inner = [], eig._inv_and_logdet
+
+    def counted(x, engine, counter):
+        calls.append(x)
+        return inner(x, engine, counter)
+
+    monkeypatch.setattr(eig, "_inv_and_logdet", counted)
+    return calls
 
 
 class TestSignFunction:
@@ -54,16 +78,55 @@ class TestSignFunction:
         with pytest.raises(SignDivergenceError):
             sign_function(np.array([[1e-320]]))
 
+    def test_overflowing_square_diverges(self):
+        # X^2 overflows, which reads as outside the Newton-Schulz basin; the
+        # Newton steps halve X and reach the step cap.
+        with pytest.raises(SignDivergenceError):
+            sign_function(1e160 * np.diag([2.0, -3.0]))
+
     def test_constructed_eigenstructure(self, rng):
-        n = 12
-        x = np.eye(n) + 0.2 * gaussian_matrix(n, n, rng.split(0))
-        d = np.concatenate([1.0 + 0.2 * rng.split(1).gaussians(6) * 0.5,
-                            -1.0 + 0.2 * rng.split(2).gaussians(6) * 0.5])
-        xinv = solve_linear(x, np.eye(n))
-        a = x @ np.diag(d) @ xinv
-        s_true = x @ np.diag(np.sign(d)) @ xinv
+        a, s_true, kappa_x = constructed_sign_input(rng)
         s = sign_function(a)
+        assert norm(s - s_true) <= bounds.spectral(kappa_x ** 2) * norm(s_true)
+
+    def test_involutory_input_needs_no_inversion(self, rng, monkeypatch):
+        # A = S diag(+-1) S^-1 has A^2 = I to rounding, so the first step is
+        # a Newton-Schulz step and it already meets the stop rule.
+        n = 12
+        x = np.eye(n) + 0.1 * gaussian_matrix(n, n, rng.split(0))
+        a = x @ np.diag(np.where(np.arange(n) % 3 == 0, -1.0, 1.0)) @ solve_linear(x, np.eye(n))
         kappa_x = jacobi_svd(x)[1][0] / jacobi_svd(x)[1][-1]
+        calls = count_inversions(monkeypatch)
+        s = sign_function(a)
+        assert calls == []
+        assert norm(s - a) <= bounds.spectral(kappa_x ** 2) * norm(a)
+
+    def test_fewer_inversions_than_newton_steps(self, rng, monkeypatch):
+        a, s_true, kappa_x = constructed_sign_input(rng)
+        x = a.copy()
+        for newton_steps in range(1, DEFAULT_SIGN_ITERS + 1):
+            new = 0.5 * (x + np.linalg.inv(x))
+            done = norm(new - x, "one") <= SIGN_CONV_TOL * norm(x, "one")
+            x = new
+            if done:
+                break
+        calls = count_inversions(monkeypatch)
+        s = sign_function(a)
+        assert 0 < len(calls) < newton_steps
+        assert norm(s - s_true) <= bounds.spectral(kappa_x ** 2) * norm(s_true)
+
+    def test_schulz_products_on_the_engine(self, rng, monkeypatch):
+        strassen = MmEngine("strassen", cutoff=1)
+        engines, inner = [], eig.multiply
+
+        def spied(a, b, engine=CONV, counter=None):
+            engines.append(engine)
+            return inner(a, b, engine, counter)
+
+        monkeypatch.setattr(eig, "multiply", spied)
+        a, s_true, kappa_x = constructed_sign_input(rng)
+        s = sign_function(a, strassen)
+        assert engines and all(e is strassen for e in engines)
         assert norm(s - s_true) <= bounds.spectral(kappa_x ** 2) * norm(s_true)
 
     def test_sign_idempotence(self, rng):
@@ -212,6 +275,17 @@ class TestSchurDandC:
         assert len(block_boundaries(res.t)) - 1 == 9
         want = [0.0] + [s * k * 1j for k in range(1, 9) for s in (1, -1)]
         assert match_eigs(block_eigenvalues(res.t), want) <= bounds.spectral(norm(a))
+
+    def test_spectral_seed_312_job_12_splits(self):
+        # The spectral benchmark's input for seed 312, job 12.  With
+        # determinantal scaling of the sign iteration, every line and circle
+        # was rejected and the block came back unsplit, flagged cluster:0:64.
+        job = RngStream(312).split(12)
+        a = gaussian_matrix(64, 64, job.split(0))
+        res = schur_dandc(a, rng=job.split(2).split(0))
+        assert res.flags == []
+        assert res.n_splits >= 1
+        assert not misses(schur_checks(a, res))
 
     def test_cluster_flagged_when_unsplittable(self, rng):
         # Twenty nearly identical eigenvalues, more rows than the leaf: no
