@@ -47,13 +47,10 @@ class SylvesterSingularError(ValueError):
 @dataclass(frozen=True)
 class BlockConfig:
     block_size: int
-    gamma: float = 3.0
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if not (2.0 < self.gamma <= 3.0):
-            raise ValueError("gamma must lie in (2, 3]")
 
 
 def recommended_block_size(n: int, gamma: float) -> int:

@@ -1,9 +1,10 @@
 """The documented error bounds, one definition each.
 
 The reports, the CLI's checks and the tests read their bounds here.
-Callers scale a bound after the call: the backward budget by the pivot
-growth g for LU and by kappa or kappa^2 for inversion, the spectral bound
-by a norm.  Each value keeps one floating-point order, so
+Callers scale a bound after the call: the report builders of LU and
+inversion scale the backward budget by the pivot growth g and by kappa or
+kappa^2 (``results.StabilityReport``), and the spectral checks scale the
+spectral bound by a norm.  Each value keeps one floating-point order, so
 ``spectral(na) * nb`` is not ``spectral(na * nb)``.
 """
 

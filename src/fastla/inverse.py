@@ -33,16 +33,19 @@ whose Cholesky factorization fails, splits as a larger block does, down to
 the shared 1x1 pivots that detect indefiniteness.  Working-precision
 triangular blocks recurse to 1x1 pivots.
 
-``predicted_bound`` in the report evaluates the error recurrences of
+The report's ``forward_bound`` evaluates the error recurrences of
 ``bounds`` with the measured condition number and the engine's measured
 error-model constant, clamped at 1 (a bound of 1 means no accuracy is
-promised).  The symmetry tolerance of ``spd_inv`` is ``bounds.SYMMETRY_TOL``.
+promised).  Its ``bound`` is backward grade instead, c(n) eps kappa for
+||XA - I||_F (kappa^2 for the normal-equations route of ``gen_inv`` in
+working precision), since the recurrence bounds clamp to 1 at modest sizes
+and would pass any X with ||XA - I||_F <= 1.  The symmetry tolerance of
+``spd_inv`` is ``bounds.SYMMETRY_TOL``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +54,7 @@ from .baseline import SingularMatrixError
 from .core import (EPS, EXTENDED, INF, TWO, WORKING, DimensionError, RngStream, as_matrix,
                    norm, require_finite)
 from .matmul import CONVENTIONAL, MmEngine, OpCounter, measure_mm_error, multiply
+from .results import StabilityReport
 
 # Blocks of at most this many rows try a LAPACK leaf: SPD blocks in both
 # precisions, triangular ones in double-word (see _spd_leaf_inv and
@@ -68,15 +72,6 @@ class AsymmetricMatrixError(ValueError):
     """Input to spd_inv is not symmetric within tolerance."""
 
 
-@dataclass
-class InvReport:
-    residual_left: float
-    residual_right: float
-    kappa: float
-    precision_used: str
-    predicted_bound: float
-
-
 def engine_mu_constant(engine: MmEngine) -> float:
     """Measured error-model constant of the engine at n = 32 (cached, fixed seed)."""
     key = (engine.kind, engine.cutoff)
@@ -86,16 +81,20 @@ def engine_mu_constant(engine: MmEngine) -> float:
     return _mu_cache[key]
 
 
-def _report(a, x, precision, kappa, predicted) -> InvReport:
+def _report(a, x, engine, precision, forward, squared=False) -> StabilityReport:
+    """The report of an inverse X of A: ||XA - I||_F, kappa = ||A||_2 ||X||_2,
+    and the bounds of the module docstring, with ``forward`` the recurrence
+    bound (``bounds.tri_inv`` or ``bounds.spd_inv``) and ``squared`` when
+    the route squares kappa."""
     n = a.shape[0]
-    eye = np.eye(n)
-    return InvReport(
-        residual_left=float(np.linalg.norm(x @ a - eye)),
-        residual_right=float(np.linalg.norm(a @ x - eye)),
-        kappa=kappa,
-        precision_used=precision,
-        predicted_bound=predicted,
-    )
+    kappa = max(1.0, norm(a, TWO) * norm(x, TWO))
+    k = kappa ** 2 if squared else kappa
+    if precision == EXTENDED:
+        bound = bounds.backward(n) * kappa
+    else:
+        bound = bounds.backward(n, engine) * k
+    return StabilityReport(residual=float(np.linalg.norm(x @ a - np.eye(n))), bound=bound,
+                           kappa=kappa, forward_bound=forward(k, n, engine_mu_constant(engine)))
 
 
 def _lift(x, precision):
@@ -132,7 +131,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
             counter=None, with_report: bool = True):
     """Invert an upper triangular matrix recursively.
 
-    Returns (X, InvReport).  With ``precision="extended"`` the whole
+    Returns (X, StabilityReport or None).  With ``precision="extended"`` the whole
     recursion runs in double-word arithmetic and the result is rounded to
     working precision at the end.
     """
@@ -146,9 +145,7 @@ def tri_inv(t, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     x = _round(_tri_inv_rec(_lift(t, precision), engine, counter))
     if not with_report:
         return x, None
-    kappa = max(1.0, norm(t, TWO) * norm(x, TWO))
-    bound = bounds.tri_inv(kappa, n, engine_mu_constant(engine))
-    return x, _report(t, x, precision, kappa, bound)
+    return x, _report(t, x, engine, precision, bounds.tri_inv)
 
 
 def _tri_inv_rec(t, engine, counter):
@@ -227,9 +224,7 @@ def spd_inv(h, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     x = _symmetrize(_round(_spd_inv_rec(_lift(h, precision), engine, counter)))
     if not with_report:
         return x, None
-    kappa = max(1.0, norm(h, TWO) * norm(x, TWO))
-    bound = bounds.spd_inv(kappa, n, engine_mu_constant(engine))
-    return x, _report(h, x, precision, kappa, bound)
+    return x, _report(h, x, engine, precision, bounds.spd_inv)
 
 
 def _spd_inv_rec(h, engine, counter):
@@ -346,9 +341,7 @@ def gen_inv(a, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,
     x = _round(multiply(al.T, mi, engine, counter))
     if not with_report:
         return x, None
-    kappa_a = max(1.0, norm(a, TWO) * norm(x, TWO))
-    bound = bounds.spd_inv(kappa_a ** 2, n, engine_mu_constant(engine))
-    return x, _report(a, x, precision, kappa_a, bound)
+    return x, _report(a, x, engine, precision, bounds.spd_inv, squared=True)
 
 
 def solve_via_inverse(a, b, engine: MmEngine = CONVENTIONAL, precision: str = WORKING,

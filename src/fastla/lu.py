@@ -11,11 +11,11 @@ The upper-right block (step b) is the recursive triangular solve of
 ``baseline.solve_triangular``, whose block updates are engine products too;
 it reads only the strict lower triangle of the compact storage.  Stability
 is conditional on L being well conditioned.  When a report is requested,
-a Hager 1-norm condition estimate of every solved leading block is tracked
-and a warning flag raised above 1e3; without a report (``solve_linear``, and
-through it the sign iteration and ``moebius_apply``) no estimate is made,
-because each one costs five pairs of triangular solves and those callers
-never read it.
+a Hager 1-norm condition estimate of every solved leading block is tracked,
+the largest is the report's ``kappa`` and a warning flag is raised above
+1e3; without a report (``solve_linear``, and through it the sign iteration
+and ``moebius_apply``) no estimate is made, because each one costs five
+pairs of triangular solves and those callers never read it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import SingularMatrixError, _gepp_panel, solve_triangular
+from . import bounds
+from .baseline import SingularMatrixError, _gepp_panel, pivot_growth, solve_triangular
 from .core import FROBENIUS, DimensionError, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
 from .results import StabilityReport
@@ -38,10 +39,7 @@ class LuResult:
     p: np.ndarray
     l: np.ndarray
     u: np.ndarray
-    report: StabilityReport
-    # Max 1-norm condition estimate over the solved unit lower blocks, or
-    # None when the factorization ran without a report and made none.
-    l_cond: float | None
+    report: StabilityReport | None
     zero_pivot: bool
 
 
@@ -49,10 +47,11 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
         with_report: bool = True) -> LuResult:
     """Recursive LU of an n-by-m matrix (n >= m): a[perm] = L U.
 
-    With ``with_report`` the report carries the relative residual and the
-    L condition estimate is made (``l_cond``, flag ``l-ill-conditioned``
-    above 1e3).  Without it, ``l_cond`` is None and only ``zero-pivot`` can
-    be flagged; P, L and U are the same either way.
+    With ``with_report`` the L condition estimate is made, and the report
+    carries the relative residual, its growth-scaled bound, the estimate
+    as ``kappa`` and the flags ``zero-pivot`` and ``l-ill-conditioned``
+    (kappa above 1e3).  Without it the report is None and ``zero_pivot``
+    is the one diagnostic; P, L and U are the same either way.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -64,19 +63,16 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
     l = np.tril(work[:, :m], -1)
     l[np.arange(m), np.arange(m)] = 1.0
     u = np.triu(work[:m, :m])
-    flags = []
-    if zero_piv:
-        flags.append("zero-pivot")
+    report = None
     if with_report:
+        flags = ["zero-pivot"] if zero_piv else []
         if l_cond > L_COND_WARN:
             flags.append("l-ill-conditioned")
         na = norm(a, FROBENIUS)
         resid = norm(a[perm] - l @ u, FROBENIUS) / na if na != 0.0 else 0.0
-        report = StabilityReport(residual=resid, flags=flags)
-    else:
-        report = StabilityReport(0.0, flags=flags)
-        l_cond = None
-    return LuResult(p=perm, l=l, u=u, report=report, l_cond=l_cond, zero_pivot=zero_piv)
+        report = StabilityReport(residual=resid, bound=bounds.backward(n) * pivot_growth(a, u),
+                                 kappa=l_cond, flags=flags)
+    return LuResult(p=perm, l=l, u=u, report=report, zero_pivot=zero_piv)
 
 
 def _lur_rec(a, engine, counter, estimate):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .baseline import panel_qr_wy, solve_triangular
 from .core import FROBENIUS, DimensionError, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
@@ -35,7 +36,7 @@ class RankDeficientError(ValueError):
 class QrResult:
     r: np.ndarray
     q: WYFactor
-    report: StabilityReport
+    report: StabilityReport | None
 
 
 def qrr(a, engine: MmEngine = CONVENTIONAL, counter=None,
@@ -50,7 +51,7 @@ def qrr(a, engine: MmEngine = CONVENTIONAL, counter=None,
     w, y = _qrr_rec(work, engine, counter)
     r = np.triu(work[:m, :])
     q = WYFactor(w, y)
-    report = _qr_report(a, q, r, engine) if with_report else StabilityReport(0.0)
+    report = _qr_report(a, q, r, engine) if with_report else None
     return QrResult(r=r, q=q, report=report)
 
 
@@ -106,7 +107,8 @@ def _qr_report(a, q, r, engine):
     residual = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
     qt = np.eye(n) - q.w @ q.y
     orth = norm(qt.T @ qt - np.eye(n), FROBENIUS)
-    return StabilityReport(residual=residual, orth_defect=orth)
+    return StabilityReport(residual=residual, bound=bounds.backward(n, engine),
+                           orth_defect=orth)
 
 
 def apply_qt(q: WYFactor, b, engine: MmEngine = CONVENTIONAL, counter=None):

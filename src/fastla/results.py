@@ -66,8 +66,39 @@ class WYFactor:
 
 @dataclass
 class StabilityReport:
-    """Measured residual and orthogonality defect of one decomposition."""
+    """The measured error of one result and the bound it is judged by.
+
+    ``residual`` and ``bound`` per entry point, with ``bound`` read from
+    ``fastla.bounds`` (g the pivot growth, kappa the field below):
+
+    * ``qrr``: ||A - Q R||_F / ||A||_F, ``backward(rows, engine)``;
+    * ``rurv``: ||A - U R V||_F / ||A||_F, ``backward(n, engine)``;
+    * ``lur``: ||A[p] - L U||_F / ||A||_F, ``backward(rows) * g``;
+    * ``sylr``: ||A R - R B + C||_F / ((||A||_F + ||B||_F) ||R||_F),
+      ``backward(n + m)``;
+    * ``tri_inv``, ``spd_inv``, ``gen_inv``: ||X A - I||_F,
+      ``backward(n, engine) * kappa`` (kappa^2 for ``gen_inv``, whose
+      normal equations square it) in working precision and
+      ``backward(n) * kappa`` in extended precision.
+
+    ``orth_defect`` is ||Q^T Q - I||_F for ``qrr`` and ||V^T V - I||_F for
+    ``rurv``, judged by the same bound, and None elsewhere.  ``kappa`` is
+    the 2-norm condition number of an inverted matrix and, for ``lur``, the
+    largest 1-norm condition estimate of L's solved blocks; None elsewhere.
+    ``forward_bound`` is the relative forward error that the recurrence of
+    an inversion predicts (``bounds.tri_inv``, or ``bounds.spd_inv`` of
+    kappa, or of kappa^2 for ``gen_inv``), and None elsewhere.  An entry
+    point called with ``with_report=False`` returns None for its report.
+    """
 
     residual: float
-    orth_defect: float = 0.0
+    bound: float
+    orth_defect: float | None = None
+    kappa: float | None = None
+    forward_bound: float | None = None
     flags: list = field(default_factory=list)
+
+    def holds(self) -> bool:
+        """The residual, and the orthogonality defect if any, within the bound."""
+        return self.residual <= self.bound and (
+            self.orth_defect is None or self.orth_defect <= self.bound)

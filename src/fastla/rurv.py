@@ -7,11 +7,11 @@ sigma_min(R(1:r,1:r)) tracks sigma_r of A and the trailing block tracks
 sigma_{r+1}; the quality is governed by f, the smallest singular value of
 the leading r-by-r corner of a Haar orthogonal matrix.
 
-Singular values inside the rank diagnostics (``exact_rank_probe``,
-``rank_reveal_report``) come from the one-sided Jacobi oracle (desk scale);
-the algorithms themselves never consume them.  ``f_statistic_experiment``
-reads sigma_min of each Haar corner from LAPACK's SVD, since it samples
-thousands of them.
+The singular values of ``exact_rank_probe`` come from the one-sided
+Jacobi oracle (desk scale), as do those by which ``verify.suite_rurv``
+checks the rank-revealing bounds on R's blocks; the algorithms themselves
+never consume them.  ``f_statistic_experiment`` reads sigma_min of each
+Haar corner from LAPACK's SVD, since it samples thousands of them.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import jacobi_svd
+from . import bounds
 from .core import (EPS, FROBENIUS, DimensionError, RngStream, as_matrix, gaussian_matrix,
                    norm, require_finite)
 from .matmul import CONVENTIONAL, MmEngine, multiply
@@ -33,16 +34,7 @@ class UrvResult:
     u: WYFactor
     r: np.ndarray
     v: np.ndarray
-    report: StabilityReport
-
-
-@dataclass
-class RankRevealReport:
-    r: int
-    sigma_min_leading: float
-    sigma_max_trailing: float
-    f_lower_bound_check: bool
-    gap_ratio: float | None = None
+    report: StabilityReport | None
 
 
 @dataclass
@@ -80,13 +72,14 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
     v = haar_orthogonal(n, rng, engine)
     ahat = multiply(a, np.ascontiguousarray(v.T), engine, counter)
     ures = qrr(ahat, engine, counter, with_report=False)
-    result = UrvResult(u=ures.q, r=ures.r, v=v, report=StabilityReport(0.0))
+    result = UrvResult(u=ures.q, r=ures.r, v=v, report=None)
     if with_report:
         recon = reconstruct(result, engine)
         na = norm(a, FROBENIUS)
         resid = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
         orth = norm(v.T @ v - np.eye(n), FROBENIUS)
-        result.report = StabilityReport(residual=resid, orth_defect=orth)
+        result.report = StabilityReport(residual=resid, bound=bounds.backward(n, engine),
+                                        orth_defect=orth)
     return result
 
 
@@ -110,29 +103,6 @@ def exact_rank_probe(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None) 
     threshold = n * EPS * sigma[0]
     below = np.flatnonzero(sigma <= threshold)
     return int(below[0]) if below.size else n
-
-
-def rank_reveal_report(res: UrvResult, r: int, sigma_true=None, f: float | None = None) -> RankRevealReport:
-    """Rank-revealing diagnostics of R at split index r (desk scale)."""
-    n = res.r.shape[0]
-    if not (1 <= r < n):
-        raise ValueError("need 1 <= r < n")
-    lead = jacobi_svd(res.r[:r, :r])[1]
-    trail = jacobi_svd(res.r[r:, r:])[1]
-    sig_min_lead = float(lead[-1])
-    sig_max_trail = float(trail[0])
-    f_ok = True
-    gap = None
-    if sigma_true is not None and f is not None:
-        f_ok = sig_min_lead >= f * float(sigma_true[r - 1]) * (1.0 - 1e-6)
-        gap = float(sigma_true[r] / sigma_true[r - 1]) if sigma_true[r - 1] > 0 else None
-    return RankRevealReport(
-        r=r,
-        sigma_min_leading=sig_min_lead,
-        sigma_max_trailing=sig_max_trail,
-        f_lower_bound_check=bool(f_ok),
-        gap_ratio=gap,
-    )
 
 
 def f_statistic_experiment(n: int, r: int, trials: int, rng: RngStream) -> FStatSummary:

@@ -21,8 +21,8 @@ K^-T K^-1, each step two LAPACK trsyl solves: O(nm(n+m)) flops, plus O(k nm)
 for reorthogonalisation at step k.  A run cut at SEP_MAX_ITERS steps returns
 a value flagged as an upper bound on sep.
 
-The residual bound of ``sylr`` and the forward-error bound of its
-recurrence are ``bounds.backward(n + m)`` and ``bounds.sylr``.
+The report of ``sylr`` carries its residual bound ``bounds.backward(n + m)``;
+the forward-error bound of its recurrence is ``bounds.sylr``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .baseline import SylvesterSingularError, conventional_sylvester
 from .core import EPS, FROBENIUS, DimensionError, RngStream, as_matrix, norm, require_finite
 from .matmul import CONVENTIONAL, MmEngine, multiply
@@ -66,23 +67,23 @@ def block_boundaries(t) -> list:
     """Boundaries of the quasi-triangular block pattern of t (2x2 bumps)."""
     t = as_matrix(t)
     n = t.shape[0]
-    bounds = [0]
+    cuts = [0]
     i = 0
     while i < n:
         if i + 1 < n and t[i + 1, i] != 0.0:
             i += 2
         else:
             i += 1
-        bounds.append(i)
-    return bounds
+        cuts.append(i)
+    return cuts
 
 
 def block_eigenvalues(t) -> np.ndarray:
     """Complex eigenvalues of a quasi-triangular matrix, block by block."""
     t = as_matrix(t)
-    bounds = block_boundaries(t)
+    cuts = block_boundaries(t)
     eigs = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo == 1:
             eigs.append(complex(t[lo, lo]))
         else:
@@ -100,13 +101,13 @@ def block_eigenvalues(t) -> np.ndarray:
 
 def _checked_blocks(t, name) -> np.ndarray:
     """t's block boundaries, after checking that t is zero below its blocks."""
-    bounds = block_boundaries(t)
+    cuts = block_boundaries(t)
     mask = np.tril(np.ones(t.shape, dtype=bool), -1)
-    for lo, hi in zip(bounds, bounds[1:]):
+    for lo, hi in zip(cuts, cuts[1:]):
         mask[lo:hi, lo:hi] = False
     if np.any(t[mask] != 0.0):
         raise NotTriangularError(f"{name} is not upper triangular outside its blocks")
-    return np.asarray(bounds)
+    return np.asarray(cuts)
 
 
 def min_spectral_gap(a, b) -> float:
@@ -117,7 +118,7 @@ def min_spectral_gap(a, b) -> float:
 
 
 def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None, with_report: bool = True):
-    """Solve A R - R B = -C recursively; returns (R, StabilityReport).
+    """Solve A R - R B = -C recursively; returns (R, StabilityReport or None).
 
     The block patterns of A and B are read from their subdiagonals.  Each
     step splits the operand with more diagonal blocks, B on a tie, at the
@@ -136,15 +137,15 @@ def sylr(a, b, c, engine: MmEngine = CONVENTIONAL, counter=None, with_report: bo
         raise SylvesterSingularError("spectra of A and B are not disjoint")
     r = _sylr_rec(a, b, c, engine, counter, ab, bb)
     if not with_report:
-        return r, StabilityReport(0.0)
+        return r, None
     resid = norm(a @ r - r @ b + c, FROBENIUS)
     denom = (norm(a, FROBENIUS) + norm(b, FROBENIUS)) * norm(r, FROBENIUS)
-    report = StabilityReport(residual=resid / denom if denom > 0.0 else resid)
-    return r, report
+    return r, StabilityReport(residual=resid / denom if denom > 0.0 else resid,
+                              bound=bounds.backward(n + m))
 
 
-def _nearest_cut(bounds, target):
-    interior = bounds[1:-1]
+def _nearest_cut(cuts, target):
+    interior = cuts[1:-1]
     return int(interior[np.argmin(np.abs(interior - target))])
 
 

@@ -96,7 +96,7 @@ def test_criterion_03_block_exponent_formula():
             if b > n:
                 continue
             pc, uc = OpCounter(), OpCounter()
-            block_lu(a, BlockConfig(b, gamma), engine, pc, uc)
+            block_lu(a, BlockConfig(b), engine, pc, uc)
             rows.append({"n": n, "b": b, "mults": pc.scalar_mults + uc.scalar_mults})
             pts.append((b, pc.scalar_mults, uc.scalar_mults))
         crossing = None

@@ -216,8 +216,6 @@ class TestBlockLu:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BlockConfig(0)
-        with pytest.raises(ValueError):
-            BlockConfig(4, gamma=3.5)
 
 
 class TestBlockQr:
@@ -258,7 +256,7 @@ class TestCostModel:
         a = gaussian_matrix(n, n, rng)
         for b in [4, 8, 16, 32, 64, 128]:
             counter = OpCounter()
-            block_lu(a, BlockConfig(b, gamma), MmEngine("strassen", cutoff=1), counter)
+            block_lu(a, BlockConfig(b), MmEngine("strassen", cutoff=1), counter)
             rows.append({"n": n, "b": b, "mults": counter.scalar_mults})
         fit = fit_block_cost_model(rows, gamma)
         assert fit["max_rel_err"] <= 0.2

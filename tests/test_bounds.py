@@ -2,7 +2,9 @@
 
 Its entries equal the written-out forms they replaced and the benchmark's
 own copy in ``perfbench/checks.py``, and no written-out copy of a
-documented form is left anywhere else in the library or the tests.
+documented form is left anywhere else in the library or the tests.  The
+report of every factorization and inversion carries the entry it is judged
+by.
 """
 
 import importlib.util
@@ -13,8 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastla import bounds
-from fastla.core import EPS
+from fastla import bounds, gen_inv, lur, qrr, rurv, spd_inv, sylr, tri_inv
+from fastla.baseline import pivot_growth
+from fastla.core import EPS, EXTENDED, TWO, WORKING, RngStream, gaussian_matrix, norm
+from fastla.inverse import engine_mu_constant
 from fastla.matmul import MmEngine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,3 +101,60 @@ def test_no_written_out_copies():
     found = [f"{path.relative_to(ROOT)}:{i}" for path in files if path not in exempt
              for i, line in enumerate(path.read_text().splitlines(), 1) if FORMS.search(line)]
     assert not found
+
+
+# Inputs of the report test: 24 rows, so the Strassen engine recurses.
+N, M = 24, 20
+_rng = RngStream(0xB0D)
+A = gaussian_matrix(N, N, _rng.split(0))
+_gram = A @ A.T
+T = np.triu(A, 1) + np.diag(np.linspace(2.0, 3.0, N))
+INVERSES = {"tri_inv": (tri_inv, T), "spd_inv": (spd_inv, 0.5 * (_gram + _gram.T) + N * np.eye(N)),
+            "gen_inv": (gen_inv, A)}
+SYL_B = np.triu(gaussian_matrix(M, M, _rng.split(1)), 1) - np.diag(np.linspace(2.0, 3.0, M))
+SYL_C = gaussian_matrix(N, M, _rng.split(2))
+REPORT_ENGINES = [MmEngine("conv"), MmEngine("strassen", cutoff=8)]
+REPORT_CASES = ([(name, e, WORKING) for name in ("qrr", "rurv", "lur", "sylr")
+                 for e in REPORT_ENGINES]
+                + [(name, e, p) for name in INVERSES for e in REPORT_ENGINES
+                   for p in (WORKING, EXTENDED)])
+
+
+def _call(name, engine, precision, with_report):
+    """(output, report) of one entry point on the inputs above."""
+    if name == "qrr":
+        out = qrr(A, engine, with_report=with_report)
+    elif name == "rurv":
+        out = rurv(A, engine, RngStream(1), with_report=with_report)
+    elif name == "lur":
+        out = lur(A, engine, with_report=with_report)
+    elif name == "sylr":
+        out = sylr(T, SYL_B, SYL_C, engine, with_report=with_report)
+    else:
+        invert, a = INVERSES[name]
+        out = invert(a, engine, precision, with_report=with_report)
+    return out, out[1] if isinstance(out, tuple) else out.report
+
+
+@pytest.mark.parametrize("name, engine, precision", REPORT_CASES,
+                         ids=[f"{n}-{e.kind}-{p}" for n, e, p in REPORT_CASES])
+def test_report_carries_its_bound(name, engine, precision):
+    out, rep = _call(name, engine, precision, True)
+    if name in ("qrr", "rurv"):
+        assert rep.bound == bounds.backward(N, engine)
+    elif name == "lur":
+        assert rep.bound == bounds.backward(N) * pivot_growth(A, out.u)
+    elif name == "sylr":
+        assert rep.bound == bounds.backward(N + M)
+    else:
+        kappa = max(1.0, norm(INVERSES[name][1], TWO) * norm(out[0], TWO))
+        k = kappa ** 2 if name == "gen_inv" else kappa
+        assert rep.kappa == kappa
+        if precision == EXTENDED:
+            assert rep.bound == bounds.backward(N) * kappa
+        else:
+            assert rep.bound == bounds.backward(N, engine) * k
+        forward = bounds.tri_inv if name == "tri_inv" else bounds.spd_inv
+        assert rep.forward_bound == forward(k, N, engine_mu_constant(engine))
+    assert rep.holds()
+    assert _call(name, engine, precision, False)[1] is None

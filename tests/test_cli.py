@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from fastla import bounds
+from fastla import bounds, lur, qrr, rurv, sylr
 from fastla.cli import main
-from fastla.core import RngStream, gaussian_matrix, read_matrix, write_matrix
-from fastla.inverse import gen_inv
-from fastla.verify import SUITES, random_triangular, spd_with_condition
+from fastla.core import EXTENDED, RngStream, gaussian_matrix, read_matrix, write_matrix
+from fastla.inverse import gen_inv, spd_inv, tri_inv
+from fastla.matmul import MmEngine
+from fastla.verify import SUITES, random_triangular, spd_with_condition, stable_float
 
 from helpers import pairs_over_zero, tiny_tail_embedding
 
@@ -182,6 +183,50 @@ class TestDecomposeOutputs:
         assert "rank-deficient" in results["flags"]
 
 
+def _library(res):
+    """(report, zero pivot) of a library result, as the CLI reads it."""
+    if isinstance(res, tuple):
+        return res[1], False
+    return res.report, getattr(res, "zero_pivot", False)
+
+
+STRASSEN4 = MmEngine("strassen", cutoff=4)
+# (name, command, the library call it makes on the fixture's files)
+JUDGED = [
+    ("qr", ["decompose", "qr", "--in", "A.mat"], lambda m: qrr(m("A"))),
+    ("qr-strassen", ["decompose", "qr", "--in", "A.mat", "--engine", "strassen", "--cutoff", 4],
+     lambda m: qrr(m("A"), STRASSEN4)),
+    ("lu", ["decompose", "lu", "--in", "A.mat"], lambda m: lur(m("A"))),
+    ("lu-singular", ["decompose", "lu", "--in", "sing.mat"], lambda m: lur(m("sing"))),
+    ("tri", ["invert", "--kind", "tri", "--in", "tri.mat"], lambda m: tri_inv(m("tri"))),
+    ("spd", ["invert", "--kind", "spd", "--in", "spd.mat"], lambda m: spd_inv(m("spd"))),
+    ("general", ["invert", "--kind", "general", "--in", "A.mat"], lambda m: gen_inv(m("A"))),
+    ("general-extended",
+     ["invert", "--kind", "general", "--in", "A.mat", "--precision", EXTENDED],
+     lambda m: gen_inv(m("A"), precision=EXTENDED)),
+    ("rurv", ["rurv", "--in", "A.mat", "--seed", 5], lambda m: rurv(m("A"), rng=RngStream(5))),
+    ("sylvester", ["sylvester", "--a", "tri.mat", "--b", "B.mat", "--c", "C.mat"],
+     lambda m: sylr(m("tri"), m("B"), m("C"))),
+]
+
+
+class TestJudgedByTheReport:
+    """The commands print the library report's bound and pass on it."""
+
+    @pytest.mark.parametrize("args, library", [case[1:] for case in JUDGED],
+                             ids=[case[0] for case in JUDGED])
+    def test_bound_and_pass_are_the_reports(self, workdir, args, library):
+        rep_path = workdir / "judged.json"
+        argv = [workdir / a if str(a).endswith(".mat") else a for a in args]
+        code = run(argv + ["--report", rep_path])
+        payload = json.loads(rep_path.read_text())["payload"]
+        rep, zero_pivot = _library(library(lambda name: read_matrix(workdir / f"{name}.mat")))
+        assert payload["results"]["bound"] == stable_float(rep.bound)
+        passed = rep.residual <= rep.bound and not zero_pivot
+        assert payload["pass"] is passed
+        assert code == (0 if passed else 1)
+
+
 class TestBench:
     def test_matmul_strassen_exponent(self, workdir):
         rep = workdir / "bench.json"
@@ -220,6 +265,9 @@ class TestBench:
         rows = data["payload"]["results"]["rows"]
         assert {r["b"] for r in rows} == {4, 8, 16, 32}
         assert all(r["residual"] <= 1e-11 for r in rows)
+
+    def test_block_lu_gamma_out_of_range_exit2(self):
+        assert run(["bench", "block-lu", "--sizes", "8", "--gamma", 3.5]) == 2
 
 
 class TestVerify:

@@ -5,8 +5,7 @@ from fastla import bounds
 from fastla.core import RngStream, gaussian_matrix, norm
 from fastla.baseline import jacobi_svd
 from fastla.matmul import MmEngine
-from fastla.rurv import (exact_rank_probe, f_statistic_experiment, haar_orthogonal,
-                         rank_reveal_report, rurv)
+from fastla.rurv import exact_rank_probe, f_statistic_experiment, haar_orthogonal, rurv
 from fastla.verify import planted_svd
 
 CONV = MmEngine("conv")
@@ -89,16 +88,6 @@ class TestRankRevealing:
                 denom = 1.0 - sigma[r] ** 2 / (f ** 2 * sigma[r - 1] ** 2)
                 bound = 3.0 * sigma[r] * f ** -4 * (sigma[0] / sigma[r - 1]) ** 3 / denom
                 assert trail_max <= bound
-
-    def test_rank_reveal_report(self, rng):
-        sigma = np.concatenate([np.ones(3), np.full(13, 1e-9)])
-        a, p, q = planted_svd(16, sigma, rng.split(0))
-        res = rurv(a, CONV, rng.split(1))
-        x = q.T @ res.v.T
-        f = jacobi_svd(x[:3, :3])[1][-1]
-        rep = rank_reveal_report(res, 3, sigma_true=sigma, f=f)
-        assert rep.f_lower_bound_check
-        assert rep.gap_ratio == pytest.approx(1e-9)
 
     def test_exact_rank_probe_rank_one(self, rng):
         hits = 0
