@@ -10,12 +10,13 @@ a[perm] = L U with |L_ij| <= 1.
 The upper-right block (step b) is the recursive triangular solve of
 ``baseline.solve_triangular``, whose block updates are engine products too;
 it reads only the strict lower triangle of the compact storage.  Stability
-is conditional on L being well conditioned.  When a report is requested,
-a Hager 1-norm condition estimate of every solved leading block is tracked,
-the largest is the report's ``kappa`` and a warning flag is raised above
-1e3; without a report (``solve_linear``, and through it the sign iteration
-and ``moebius_apply``) no estimate is made, because each one costs five
-pairs of triangular solves and those callers never read it.
+is conditional on the solved blocks being well conditioned.  Each is a
+diagonal block of the final L, and such a block's norm and inverse norm
+are at most L's, so with a report one Hager 1-norm estimate of kappa_1(L),
+made after the recursion with plain triangular solves, bounds them all: it
+is the report's ``kappa``, flagged above 1e3.  Without a report
+(``solve_linear``, and through it the sign iteration and
+``moebius_apply``) no estimate is made.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
         with_report: bool = True) -> LuResult:
     """Recursive LU of an n-by-m matrix (n >= m): a[perm] = L U.
 
-    With ``with_report`` the L condition estimate is made, and the report
-    carries the relative residual, its growth-scaled bound, the estimate
-    as ``kappa`` and the flags ``zero-pivot`` and ``l-ill-conditioned``
-    (kappa above 1e3).  Without it the report is None and ``zero_pivot``
-    is the one diagnostic; P, L and U are the same either way.
+    With ``with_report`` the report carries the relative residual, its
+    growth-scaled bound, one Hager estimate of kappa_1(L) as ``kappa`` (it
+    bounds every block the recursion solved with, each a diagonal block of
+    L) and the flags ``zero-pivot`` and ``l-ill-conditioned`` (kappa above
+    1e3).  Without it the report is None and ``zero_pivot`` is the one
+    diagnostic; P, L and U are the same either way.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -59,12 +61,13 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
         raise DimensionError("lur requires rows >= cols")
     require_finite("lur", a)
     work = a.copy()
-    perm, l_cond, zero_piv = _lur_rec(work, engine, counter, with_report)
+    perm, zero_piv = _lur_rec(work, engine, counter)
     l = np.tril(work[:, :m], -1)
     l[np.arange(m), np.arange(m)] = 1.0
     u = np.triu(work[:m, :m])
     report = None
     if with_report:
+        l_cond = _unit_lower_cond1(l[:m])
         flags = ["zero-pivot"] if zero_piv else []
         if l_cond > L_COND_WARN:
             flags.append("l-ill-conditioned")
@@ -75,35 +78,28 @@ def lur(a, engine: MmEngine = CONVENTIONAL, counter=None,
     return LuResult(p=perm, l=l, u=u, report=report, zero_pivot=zero_piv)
 
 
-def _lur_rec(a, engine, counter, estimate):
-    """Factorize the view in place (compact storage); returns (perm, l_cond, zero_pivot).
-
-    ``l_cond`` is 1.0 unless ``estimate`` asks for the L condition estimates.
-    """
+def _lur_rec(a, engine, counter):
+    """Factorize the view in place (compact storage); returns (perm, zero_pivot)."""
     n, m = a.shape
     if m <= DEFAULT_PANEL_CUTOFF:
-        perm, zero_piv = _gepp_panel(a, counter)
-        return perm, 1.0, zero_piv
+        return _gepp_panel(a, counter)
     m2 = m // 2
-    perm1, cond1, zp1 = _lur_rec(a[:, :m2], engine, counter, estimate)
+    perm1, zp1 = _lur_rec(a[:, :m2], engine, counter)
     a[:, m2:] = a[:, m2:][perm1]
-    cond_here = 1.0
-    if estimate:
-        cond_here = _unit_lower_cond1(np.tril(a[:m2, :m2], -1) + np.eye(m2), engine)
     a[:m2, m2:] = solve_triangular(a[:m2, :m2], a[:m2, m2:], lower=True, unit_diag=True,
                                    engine=engine, counter=counter)
     upd = multiply(a[m2:, :m2], a[:m2, m2:], engine, counter)
     a[m2:, m2:] -= upd
     if counter is not None:
         counter.count(adds=(n - m2) * (m - m2))
-    perm2, cond2, zp2 = _lur_rec(a[m2:, m2:], engine, counter, estimate)
+    perm2, zp2 = _lur_rec(a[m2:, m2:], engine, counter)
     a[m2:, :m2] = a[m2:, :m2][perm2]
     perm = np.concatenate([perm1[:m2], perm1[m2:][perm2]])
-    return perm, max(cond1, cond_here, cond2), zp1 or zp2
+    return perm, zp1 or zp2
 
 
-def _unit_lower_cond1(l, engine) -> float:
-    """Hager-style 1-norm condition estimate of a unit lower triangular block."""
+def _unit_lower_cond1(l) -> float:
+    """Hager-style 1-norm condition estimate of a unit lower triangular matrix."""
     k = l.shape[0]
     if k == 1:
         return 1.0
@@ -112,10 +108,10 @@ def _unit_lower_cond1(l, engine) -> float:
     x = np.full(k, 1.0 / k)
     est = 0.0
     for _ in range(5):
-        y = solve_triangular(l, x, lower=True, unit_diag=True, engine=engine)
+        y = solve_triangular(l, x, lower=True, unit_diag=True)
         est = float(np.sum(np.abs(y)))
         xi = np.where(y >= 0.0, 1.0, -1.0)
-        z = solve_triangular(lt, xi, unit_diag=True, engine=engine)
+        z = solve_triangular(lt, xi, unit_diag=True)
         j = int(np.argmax(np.abs(z)))
         if np.abs(z[j]) <= float(z @ x):
             break

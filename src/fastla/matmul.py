@@ -137,7 +137,7 @@ def _partitioned(a, b, counter, square_batch):
     ab = np.broadcast_to(ablk[:, None], (pb, rb, qb, s, s)).reshape(-1, s, s)
     bb = np.broadcast_to(bblk.swapaxes(0, 1)[None], (pb, rb, qb, s, s)).reshape(-1, s, s)
     prod = square_batch(ab, bb, counter).reshape(pb, rb, qb, s, s)
-    summed = prod.sum(axis=2).swapaxes(1, 2).reshape(ps, rs)
+    summed = (prod[:, :, 0] if qb == 1 else prod.sum(axis=2)).swapaxes(1, 2).reshape(ps, rs)
     if counter is not None and qb > 1:
         counter.count(adds=pb * rb * (qb - 1) * s * s)
     if (ps, qs, rs) == (p, q, r):

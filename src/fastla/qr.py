@@ -51,7 +51,7 @@ def qrr(a, engine: MmEngine = CONVENTIONAL, counter=None,
     w, y = _qrr_rec(work, engine, counter)
     r = np.triu(work[:m, :])
     q = WYFactor(w, y)
-    report = _qr_report(a, q, r, engine) if with_report else None
+    report = _qr_report(a, q, r, bounds.backward(n, engine)) if with_report else None
     return QrResult(r=r, q=q, report=report)
 
 
@@ -98,17 +98,14 @@ def _qrr_rec(a, engine, counter):
     return w, y
 
 
-def _qr_report(a, q, r, engine):
+def _qr_report(a, q, r, bound):
+    """Residual and orthogonality defect of Q^T = I - W Y, in plain numpy products."""
     n, m = a.shape
-    rfull = np.zeros((n, m))
-    rfull[:m, :] = r
-    recon = q.apply_q(rfull, engine)
-    na = norm(a, FROBENIUS)
-    residual = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
     qt = np.eye(n) - q.w @ q.y
+    na = norm(a, FROBENIUS)
+    residual = norm(a - qt[:m].T @ r, FROBENIUS) / na if na != 0.0 else 0.0
     orth = norm(qt.T @ qt - np.eye(n), FROBENIUS)
-    return StabilityReport(residual=residual, bound=bounds.backward(n, engine),
-                           orth_defect=orth)
+    return StabilityReport(residual=residual, bound=bound, orth_defect=orth)
 
 
 def apply_qt(q: WYFactor, b, engine: MmEngine = CONVENTIONAL, counter=None):

@@ -81,10 +81,14 @@ class StabilityReport:
       normal equations square it) in working precision and
       ``backward(n) * kappa`` in extended precision.
 
+    A report measures the returned factors once, after the computation,
+    with plain numpy products: never through the engine and never inside a
+    recursion, so the engine enters a report only through its bound.
+
     ``orth_defect`` is ||Q^T Q - I||_F for ``qrr`` and ||V^T V - I||_F for
     ``rurv``, judged by the same bound, and None elsewhere.  ``kappa`` is
     the 2-norm condition number of an inverted matrix and, for ``lur``, the
-    largest 1-norm condition estimate of L's solved blocks; None elsewhere.
+    Hager estimate of kappa_1(L) over L's square part; None elsewhere.
     ``forward_bound`` is the relative forward error that the recurrence of
     an inversion predicts (``bounds.tri_inv``, or ``bounds.spd_inv`` of
     kappa, or of kappa^2 for ``gen_inv``), and None elsewhere.  An entry

@@ -74,19 +74,15 @@ def rurv(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None, counter=None
     ures = qrr(ahat, engine, counter, with_report=False)
     result = UrvResult(u=ures.q, r=ures.r, v=v, report=None)
     if with_report:
-        recon = reconstruct(result, engine)
+        # A = U R V with U = (I - W Y)^T, formed explicitly as in qrr's report.
+        ut = np.eye(n) - ures.q.w @ ures.q.y
+        recon = (ut.T @ ures.r) @ v
         na = norm(a, FROBENIUS)
         resid = norm(a - recon, FROBENIUS) / na if na != 0.0 else 0.0
         orth = norm(v.T @ v - np.eye(n), FROBENIUS)
         result.report = StabilityReport(residual=resid, bound=bounds.backward(n, engine),
                                         orth_defect=orth)
     return result
-
-
-def reconstruct(res: UrvResult, engine: MmEngine = CONVENTIONAL) -> np.ndarray:
-    """U @ R @ V from the factored form."""
-    ur = res.u.apply_q(res.r, engine)
-    return multiply(ur, res.v, engine)
 
 
 def exact_rank_probe(a, engine: MmEngine = CONVENTIONAL, rng: RngStream = None) -> int:

@@ -73,19 +73,22 @@ class TestLur:
         assert "zero-pivot" in res.report.flags
 
     def test_stability_gate_when_l_well_conditioned(self, rng):
-        # Whenever the tracked kappa_1(L11) stays modest, the residual
+        # Whenever the estimated kappa_1(L) stays modest, the residual
         # bound holds with constant <= 1e3 (Lemma-style conditional check).
+        admitted = 0
         for t in range(30):
             n = 32
             a = gaussian_matrix(n, n, rng.split(900 + t))
             res = lur(a, MmEngine("strassen", cutoff=8))
             if res.report.kappa <= 1e3:
+                admitted += 1
                 g = pivot_growth(a, res.u)
                 assert res.report.residual <= bounds.backward(n) * g
+        assert admitted >= 15
 
 
 class TestConditionEstimateOnlyWithReport:
-    """The Hager estimate of L's blocks runs only when a report is asked for."""
+    """One Hager estimate of kappa_1(L), made only when a report is asked for."""
 
     @pytest.fixture
     def estimates(self, monkeypatch):
@@ -94,9 +97,9 @@ class TestConditionEstimateOnlyWithReport:
         made = []
         estimate = lu._unit_lower_cond1
 
-        def counted(l, engine):
-            made.append(estimate(l, engine))
-            return made[-1]
+        def counted(l):
+            made.append((l.copy(), estimate(l)))
+            return made[-1][1]
 
         monkeypatch.setattr(lu, "_unit_lower_cond1", counted)
         return made
@@ -110,13 +113,29 @@ class TestConditionEstimateOnlyWithReport:
         solve_linear(a, rng.split(2).gaussians(32))
         assert estimates == []
 
-    def test_one_estimate_per_recursion_node_with_report(self, estimates):
-        # n = 64 with 8-column panels: nodes of 64, 2 x 32 and 4 x 16 columns.
-        a = gaussian_matrix(64, 64, RngStream(0xC0DE))
+    @pytest.mark.parametrize("shape", [(64, 64), (80, 48)])
+    def test_one_estimate_of_l_per_report(self, estimates, shape):
+        a = gaussian_matrix(*shape, RngStream(0xC0DE))
         res = lur(a)
-        assert len(estimates) == 7
-        assert res.report.kappa == max(estimates)
-        assert ("l-ill-conditioned" in res.report.flags) == (res.report.kappa > 1e3)
+        m = shape[1]
+        assert len(estimates) == 1
+        l, kappa = estimates[0]
+        assert np.array_equal(l, res.l[:m])
+        assert res.report.kappa == kappa
+        assert ("l-ill-conditioned" in res.report.flags) == (kappa > 1e3)
+
+    def test_wilkinson_l_flagged(self):
+        # No row swaps: L is the unit lower triangle of -1s, kappa_1(L) = n 2^(n-1).
+        n = 40
+        w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        w[:, -1] = 1.0
+        res = lur(w)
+        assert "l-ill-conditioned" in res.report.flags
+
+    def test_diagonally_dominant_l_not_flagged(self):
+        a = gaussian_matrix(64, 64, RngStream(0xC0DE)) + 64.0 * np.eye(64)
+        res = lur(a)
+        assert "l-ill-conditioned" not in res.report.flags
 
     def test_same_factors_without_report(self, rng, engine):
         a = gaussian_matrix(64, 64, rng)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastla import bounds
-from fastla.core import EPS, NonFiniteInputError, gaussian_matrix, norm
+from fastla.core import EPS, NonFiniteInputError, RngStream, gaussian_matrix, norm
 from fastla.baseline import householder_qr
 from fastla.inverse import gen_inv, solve_via_inverse, spd_inv, tri_inv
 from fastla.lu import lur
@@ -94,6 +94,32 @@ def test_non_finite_input_rejected(entry, bad):
              "gen_inv": gen_inv, "solve_via_inverse": lambda x: solve_via_inverse(x, np.ones(4))}
     with pytest.raises(NonFiniteInputError):
         calls[entry](a)
+
+
+@pytest.mark.parametrize("entry", ["qrr", "rurv", "lur"])
+def test_report_makes_no_engine_products(monkeypatch, entry):
+    # A report measures the returned factors with plain numpy products, so
+    # asking for one adds no Strassen product to the factorization's.
+    from fastla import matmul
+
+    calls = []
+    strassen_batch = matmul._strassen_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return strassen_batch(*args, **kwargs)
+
+    monkeypatch.setattr(matmul, "_strassen_batch", counted)
+    entry_point = {"qrr": qrr, "rurv": rurv, "lur": lur}[entry]
+    a = gaussian_matrix(64, 64, RngStream(0xC0DE))
+    made = []
+    for with_report in (False, True):
+        calls.clear()
+        res = entry_point(a, MmEngine("strassen", cutoff=8), with_report=with_report)
+        made.append(len(calls))
+    assert made[0] > 0
+    assert made[1] == made[0]
+    assert res.report.holds()
 
 
 class TestApplyQt:
